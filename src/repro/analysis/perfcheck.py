@@ -100,9 +100,9 @@ def _xform_pay_for_use(num_samples: int, horizon: float) -> Dict[str, Any]:
 def default_workloads(quick: bool = False) -> Dict[str, Callable[[], Any]]:
     """The fig06/fig08/tenancy correctness gates.
 
-    All return a :class:`~repro.bench.workloads.TraceReport`-shaped
-    result with metrics enabled so the snapshot digest is part of the
-    witness.  ``quick`` shrinks the sample counts for CI smoke use; the
+    All return a :class:`~repro.bench.workloads.RunReport` (or a
+    witness dict) with metrics enabled so the snapshot digest is part of
+    the witness.  ``quick`` shrinks the sample counts for CI smoke use; the
     datapath coverage (client → reactor → qpair → device → fabric) is
     the same.  The tenancy workload routes through the multi-tenant
     splice — admission, SFQ lanes, cache partition — so the fast-path
@@ -175,9 +175,6 @@ class PerfCheckReport:
             "witnesses": self.witnesses,
             "divergences": self.divergences,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, default=str)
 
     def render(self) -> str:
         lines = [f"perfcheck: {len(self.workloads)} workload(s)"]

@@ -30,7 +30,6 @@ loudly, sanitized run or not).
 from __future__ import annotations
 
 import hashlib
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -176,9 +175,6 @@ class SanitizerReport:
             "lifecycle_violations": self.lifecycle_violations,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, default=str)
-
     def render(self) -> str:
         lines = [
             f"SimSanitizer: {len(self.runs)} perturbed run(s), "
@@ -228,15 +224,7 @@ def cluster_crash_workload() -> Dict[str, Any]:
         num_storage=4, num_clients=1, replicas=2, num_samples=2048,
         horizon=0.01, node_crashes=((1, 0.004, 0.008),),
     )
-    witness: Dict[str, Any] = {
-        "sim_time": float(report.sim_time),
-        "samples_sha1": hashlib.sha1(
-            bytes(report.samples_read.tobytes())
-        ).hexdigest(),
-        "samples_n": int(len(report.samples_read)),
-        "delivered": int(report.delivered),
-        "failed": int(report.failed),
-    }
+    witness = _witness(report)
     for key, value in report.lifecycle.items():
         witness[f"lifecycle.{key}"] = value
     for key in ("failovers", "node_down", "node_up"):
@@ -266,15 +254,7 @@ def xform_crash_workload() -> Dict[str, Any]:
         spec=XformSpec(stages=parse_stages("parse,augment:0.5"), workers=2),
         xform_crashes=((0, 0.002, 0.005),),
     )
-    witness: Dict[str, Any] = {
-        "sim_time": float(report.sim_time),
-        "samples_sha1": hashlib.sha1(
-            bytes(report.samples_read.tobytes())
-        ).hexdigest(),
-        "samples_n": int(len(report.samples_read)),
-        "delivered": int(report.delivered),
-        "failed": int(report.failed),
-    }
+    witness = _witness(report)
     for key, value in report.tier.items():
         witness[f"tier.{key}"] = value
     for lane, count in report.routed.items():
@@ -342,8 +322,8 @@ def run_sanitizer(
 
     The workload is any zero-argument callable that builds its own
     :class:`~repro.sim.Environment` and returns either a
-    :class:`~repro.bench.workloads.TraceReport`-like object or a plain
-    dict of comparable values.  Returns a :class:`SanitizerReport`;
+    :class:`~repro.bench.workloads.RunReport` or a plain dict of
+    comparable values.  Returns a :class:`SanitizerReport`;
     check ``.ok``.
     """
     if runs < 1:

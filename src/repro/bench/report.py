@@ -1,9 +1,11 @@
-"""Plain-text rendering of figure results.
+"""Plain-text rendering of figure results and driver runs.
 
 The benchmark targets print these tables so a run of
 ``pytest benchmarks/ --benchmark-only`` regenerates every figure's data
 as readable rows (series per column) plus the paper-vs-measured
-headline block.
+headline block.  :func:`render_run` prints one
+:class:`~repro.bench.workloads.RunReport` for the run subcommands of
+the CLI.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .figures import FigureResult
 __all__ = [
     "render_figure",
     "render_headline",
-    "render_metrics_summary",
+    "render_run",
     "format_quantity",
 ]
 
@@ -86,30 +88,63 @@ def render_headline(result: FigureResult) -> str:
     return "\n".join(lines)
 
 
-def render_many(results: Iterable[FigureResult]) -> str:
-    return "\n\n".join(render_figure(r) for r in results)
+def render_run(report, title: str, extra: Iterable[str] = ()) -> str:
+    """Plaintext report of one driver run.
 
-
-def render_metrics_summary(dump: dict) -> str:
-    """Summarize a :meth:`repro.obs.MetricsRegistry.dump` JSON object.
-
-    Works on the in-memory dict or one reloaded from ``metrics.json``,
-    so benchmark reports can fold a prior observed run's metrics in.
+    The headline counters come first (a counter the driver left empty
+    is not printed), then the ``extra`` lines, then one table per
+    filled section: the tenancy saturation window, the cluster
+    routing/recovery/lifecycle block, the transform tier and the
+    per-tenant rows.
     """
-    if not dump:
-        return "-- metrics: (none recorded) --"
-    lines = [f"-- metrics @ t={dump.get('now', 0.0):.6g}s --"]
-    for name, value in sorted(dump.get("counters", {}).items()):
-        lines.append(f"  counter  {name:<34} {format_quantity(value)}")
-    for name, h in sorted(dump.get("histograms", {}).items()):
-        lines.append(
-            f"  hist     {name:<34} n={h['count']} "
-            f"p50={format_quantity(h['p50'])}s p99={format_quantity(h['p99'])}s"
+    from ..obs import render_cluster, render_tenants, render_xform
+
+    r = report
+    lines = [
+        f"== {title} ==",
+        f"throughput        {r.sample_throughput:,.0f} samples/s",
+        f"delivered         {r.delivered}",
+    ]
+    if r.failed or r.expected is not None:
+        lines.append(f"failed            {r.failed}")
+    if r.expected is not None:
+        verdict = "accounted" if r.accounted else "MISMATCH"
+        lines.append(f"expected          {r.expected}  ({verdict})")
+    if r.rejected_jobs:
+        lines.append(f"rejected jobs     {r.rejected_jobs}")
+    if r.jobs is not None:
+        lines.append(f"jobs              {r.jobs}")
+    lines.append(f"sim time          {r.sim_time * 1e3:.3f} ms")
+    if r.preemptions is not None:
+        lines.append(f"preemptions       {r.preemptions}  "
+                     f"(forced anti-starvation serves: {r.forced_serves})")
+    for key, value in sorted((r.fault_counts or {}).items()):
+        lines.append(f"injected {key:<17} {value}")
+    # Runs that routed over replicas or crashed nodes get the cluster
+    # block, which lists recovery itself.
+    cluster = r.balancer is not None and bool(
+        r.balancer["routed"] or r.lifecycle
+    )
+    if not cluster:
+        for key, value in sorted((r.recovery or {}).items()):
+            shown = f"{value * 1e3:.3f} ms" if key == "degraded_time" else value
+            lines.append(f"recovery {key:<17} {shown}")
+    lines.extend(extra)
+    sections = ["\n".join(lines)]
+    if r.window_rows is not None:
+        sections.append(render_tenants(
+            r.window_rows, title="saturation window (arrival-horizon edge)",
+            service_shares=r.service_shares,
+        ))
+    if cluster:
+        sections.append(
+            render_cluster(r.balancer["routed"], r.recovery, r.lifecycle)
         )
-    for name, stages in sorted(dump.get("layers", {}).items()):
-        busy = sum(stages.values())
-        lines.append(f"  layers   {name:<34} busy={format_quantity(busy)}s")
-    snapshots = dump.get("snapshots", [])
-    if snapshots:
-        lines.append(f"  snapshots {len(snapshots)} points")
-    return "\n".join(lines)
+    if r.tier:
+        sections.append(render_xform(r.tier, r.utilization, r.links, r.routed))
+    if r.per_tenant:
+        sections.append(render_tenants(r.per_tenant, title=(
+            "full run (after drain)" if r.window_rows is not None
+            else "per-tenant (merged)"
+        )))
+    return "\n\n".join(sections)

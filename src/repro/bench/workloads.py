@@ -14,7 +14,7 @@ Every driver takes explicit counts so a user can crank them up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -56,11 +56,7 @@ __all__ = [
     "fair_tenants",
     "cluster_tenants",
     "Result",
-    "ChaosResult",
-    "TraceReport",
-    "TenancyReport",
-    "ClusterReport",
-    "XformReport",
+    "RunReport",
 ]
 
 DEFAULT_SEED = 42
@@ -80,55 +76,114 @@ class Result:
     sim_time: float = 0.0
 
 
+@dataclass(frozen=True, kw_only=True)
+class RunReport:
+    """One run of a DLFS epoch or serving driver.
 
-@dataclass(frozen=True)
-class ChaosResult:
-    """One fault-injected run (:func:`dlfs_chaos`)."""
+    :func:`dlfs_chaos`, :func:`dlfs_observed`, :func:`dlfs_tenancy`,
+    :func:`dlfs_cluster` and :func:`dlfs_xform` all return this type.  A
+    field a driver does not fill stays ``None``.  Field order is the key
+    order of :meth:`summary`.
+    """
 
-    #: Delivered samples per simulated second (aggregate).
-    sample_throughput: float
-    #: Samples delivered across all clients.
+    #: Samples delivered across all clients and tenants.
     delivered: int
     #: Samples lost to unrecoverable faults (graceful degradation).
     failed: int
-    #: Samples the epochs asked for: must equal delivered + failed.
-    expected: int
-    #: Simulated seconds for the full run.
+    #: Samples the epochs asked for (chaos): must equal delivered + failed.
+    expected: Optional[int] = None
+    #: Jobs bounced by admission control (tenancy).
+    rejected_jobs: Optional[int] = None
+    #: Jobs completed across all traffic engines (cluster, xform).
+    jobs: Optional[int] = None
+    #: Simulated seconds.  Chaos: the application window only (the
+    #: epochs), without the teardown and trailing-timer drain.  Observed,
+    #: tenancy, cluster and xform: the final ``env.now``, after the
+    #: drain and teardown.
     sim_time: float
-    #: Merged recovery accounting over all clients
-    #: (:meth:`repro.sim.RecoveryStats.as_dict`).
-    recovery: dict
-    #: Injected fault counts per (site, kind) from the shared injector.
-    fault_counts: dict
+    #: Delivered samples per simulated second.  Chaos and observed
+    #: divide by the application window; the serving drivers by
+    #: ``sim_time``.
+    sample_throughput: float
+    #: Injected fault counts per (site, kind) from the shared injector
+    #: (chaos).
+    fault_counts: Optional[dict] = None
+    #: Fraction of device-service bytes per tenant over the measured
+    #: window ``[warmup, horizon]`` (tenancy).  This is the SFQ fairness
+    #: metric: job-level bytes over-credit backlogged tenants whose jobs
+    #: dedup onto already-pending fetches.
+    service_shares: Optional[dict] = None
+    #: Device-service byte deltas behind ``service_shares``.
+    service_bytes: Optional[dict] = None
+    #: Scheduler counters: preemptions, forced (anti-starvation) serves
+    #: (tenancy).
+    preemptions: Optional[int] = None
+    forced_serves: Optional[int] = None
+    #: Per-tenant rows snapshotted at the arrival-horizon edge, while the
+    #: system is still saturated (tenancy).  Whole-run shares equalize
+    #: during the drain, so fairness is only visible in this window.
+    window_rows: Optional[tuple] = None
+    #: Balancer counters merged across clients: per-lane ``routed``
+    #: totals plus ``failovers`` and ``cache_routed`` (cluster, xform).
+    balancer: Optional[dict] = None
+    #: Recovery accounting (:meth:`repro.sim.RecoveryStats.as_dict`)
+    #: summed per key over every client's reactor, keys in first-seen
+    #: order.  Chaos: seeded with ``degraded_time: 0.0``, so that key
+    #: always comes first.  Observed and tenancy: the datapath retry,
+    #: reset and media-error counters.  Cluster and xform: the same plus
+    #: the failover counters (failovers, hedges_posted, node_down/up).
+    recovery: Optional[dict] = None
+    #: Node lifecycle counters (crashes, rejoins, handoffs, rewarms);
+    #: empty when no crash schedule was installed (cluster, xform).
+    lifecycle: Optional[dict] = None
+    #: Transform-tier counters (tasks, direct_ships, redispatches,
+    #: crashes, rejoins, boundary, stages); empty when the tier is off.
+    tier: Optional[dict] = None
+    #: TransferEngine per-link attribution rows; empty when xform is off.
+    links: Optional[tuple] = None
+    #: Per-tier CPU utilization rows (storage pushdown cores + transform
+    #: workers); empty when xform is off.
+    utilization: Optional[tuple] = None
+    #: Per-transform-lane routed task counts; empty when xform is off.
+    routed: Optional[dict] = None
+    #: Per-tenant accounting rows at the end of the run.  Cluster and
+    #: xform merge them across clients: counts sum, p50/p99 come from
+    #: the merged completion records, the transform-queue wait p99 from
+    #: the merged wait histograms.
+    per_tenant: Optional[tuple] = None
+    #: Delivered sample indices, the determinism witness.  Observed: in
+    #: delivery order per client.  Serving drivers: every completed
+    #: job's indices in (client, tenant, job-key) order, independent of
+    #: completion order.
+    samples_read: Optional[np.ndarray] = None
+    #: Every job completion as ``(t_done, tenant, latency, delivered,
+    #: failed)``, merged over all clients and sorted (cluster, xform):
+    #: the raw material for windowed (victim-window) percentiles.
+    records: Optional[tuple] = None
+    #: The :class:`repro.obs.Observability` bundle (null objects unless
+    #: metrics/trace are on).
+    obs: object = None
+    #: Reactor lane names, for per-lane latency attribution (observed).
+    reactor_names: Optional[tuple] = None
 
     @property
     def accounted(self) -> bool:
         """Does the error accounting sum up exactly?"""
         return self.delivered + self.failed == self.expected
 
-
-@dataclass(frozen=True)
-class TraceReport:
-    """One observed run (:func:`dlfs_observed`)."""
-
-    #: Delivered samples per simulated second (aggregate).
-    sample_throughput: float
-    #: Samples delivered across all clients.
-    delivered: int
-    #: Samples lost to unrecoverable faults.
-    failed: int
-    #: Final simulated time (application window + teardown drain).
-    sim_time: float
-    #: Every delivered batch's sample indices, concatenated in delivery
-    #: order — the determinism witness (traced == untraced, exactly).
-    samples_read: np.ndarray
-    #: The :class:`repro.obs.Observability` bundle (tracer + metrics);
-    #: null objects when the run was not observed.
-    obs: object
-    #: Reactor lane names, for per-lane latency attribution.
-    reactor_names: tuple
-    #: Merged recovery accounting over all clients.
-    recovery: dict
+    def summary(self) -> dict:
+        """The filled fields as one JSON-able dict, without the sample
+        order, the completion records and the obs bundle; ``accounted``
+        follows ``expected`` when that is set."""
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None or f.name in ("samples_read", "records", "obs"):
+                continue
+            out[f.name] = value
+            if f.name == "expected":
+                out["accounted"] = self.accounted
+        return out
 
 
 def _bread_rolling(client, batch: int, state: dict):
@@ -148,6 +203,91 @@ def _bread_rolling(client, batch: int, state: dict):
 
 def _dataset(num_samples: int, sample_bytes: int) -> Dataset:
     return Dataset.fixed("bench", num_samples, sample_bytes, seed=DEFAULT_SEED)
+
+
+def _clients(fs, cluster, num_clients: int) -> list:
+    """One client per rank, rank ``r`` on node ``r``."""
+    return [
+        fs.client(rank=r, num_ranks=num_clients, node=cluster.node(r))
+        for r in range(num_clients)
+    ]
+
+
+def _mount(testbed, num_nodes: int, ds, config, storage: tuple = (), **kw):
+    """A fresh environment and cluster with DLFS mounted on it.
+
+    Every node carries one NVMe device, unless ``storage=(first,
+    count)`` names the only nodes that do; the dataset is then placed on
+    those (the Fig 11 disaggregated topology).  ``kw`` goes to
+    :class:`Cluster`.
+    """
+    env = Environment()
+    cluster = Cluster(
+        env, testbed, num_nodes=num_nodes,
+        devices_per_node=0 if storage else 1, **kw,
+    )
+    placement = None
+    if storage:
+        first, count = storage
+        placement = []
+        for d in range(count):
+            node = cluster.node(first + d)
+            node.add_device()
+            placement.append((node.index, 0))
+    return env, cluster, DLFS.mount(cluster, ds, config, placement=placement)
+
+
+def _measure(env, clients, warmup_batches: int, batches: int, batch: int):
+    """Read ``warmup_batches`` per client, start the read meters, read
+    ``batches`` more; returns (samples/s, bytes/s) over all clients."""
+    for c in clients:
+        c.sequence(seed=DEFAULT_SEED)
+
+    def app(env, client):
+        state = {}
+        for _ in range(warmup_batches):
+            yield from _bread_rolling(client, batch, state)
+        client.reactor.read_meter.start()
+        for _ in range(batches):
+            yield from _bread_rolling(client, batch, state)
+
+    procs = [env.process(app(env, c), name=f"app{c.rank}") for c in clients]
+    env.run(until=env.all_of(procs))
+    return (
+        sum(c.sample_throughput() for c in clients),
+        sum(c.bandwidth() for c in clients),
+    )
+
+
+def _merge_recovery(clients, merged: Optional[dict] = None) -> dict:
+    """Sum every client's recovery accounting per key into ``merged``."""
+    merged = {} if merged is None else merged
+    for c in clients:
+        for key, value in c.recovery_stats.as_dict().items():
+            merged[key] = merged.get(key, 0) + value
+    return merged
+
+
+def _teardown(env, clients, name: str) -> None:
+    """Shut every client down in one process, then drain trailing
+    timers (watchdogs, reset drivers)."""
+
+    def teardown(env):
+        for c in clients:
+            yield from c.shutdown()
+
+    env.run(until=env.process(teardown(env), name=name))
+    env.run()
+
+
+def _run_epochs(env, clients, app, name: str) -> float:
+    """Run ``app(env, client)`` on every client to completion, then tear
+    down; returns the application window's end time."""
+    procs = [env.process(app(env, c), name=f"{name}{c.rank}") for c in clients]
+    env.run(until=env.all_of(procs))
+    app_time = env.now
+    _teardown(env, clients, f"{name}.teardown")
+    return app_time
 
 
 # ---------------------------------------------------------------------------
@@ -174,37 +314,23 @@ def dlfs_single_node(
     core, own qpair each) splitting the workload — the paper's
     one-thread-per-core scaling discipline (Fig 7a).
     """
-    env = Environment()
-    cluster = Cluster(
-        env, testbed or Testbed.paper(), num_nodes=1, devices_per_node=1,
-        hugepage_chunk_size=chunk_bytes,
-    )
     total = cores * (batches + warmup_batches) * batch
     ds = _dataset(max(2 * total, 2000), sample_bytes)
     config = DLFSConfig(
         batching=mode, queue_depth=queue_depth, window=window,
         injected_compute=injected_compute, copy_cores=copy_cores,
     )
-    fs = DLFS.mount(cluster, ds, config)
+    env, cluster, fs = _mount(
+        testbed or Testbed.paper(), 1, ds, config,
+        hugepage_chunk_size=chunk_bytes,
+    )
     clients = [
         fs.client(rank=r, num_ranks=cores, node=cluster.node(0), core_index=r)
         for r in range(cores)
     ]
-    for c in clients:
-        c.sequence(seed=DEFAULT_SEED)
-
-    def app(env, client):
-        state = {}
-        for _ in range(warmup_batches):
-            yield from _bread_rolling(client, batch, state)
-        client.reactor.read_meter.start()
-        for _ in range(batches):
-            yield from _bread_rolling(client, batch, state)
-
-    procs = [env.process(app(env, c), name=f"app{c.rank}") for c in clients]
-    env.run(until=env.all_of(procs))
-    throughput = sum(c.sample_throughput() for c in clients)
-    bandwidth = sum(c.bandwidth() for c in clients)
+    throughput, bandwidth = _measure(
+        env, clients, warmup_batches, batches, batch
+    )
     busiest = max(
         cluster.node(0).cpu.core(r).utilization() for r in range(cores)
     )
@@ -270,32 +396,15 @@ def dlfs_multi_node(
 ) -> Result:
     """Aggregated DLFS throughput: one client per node, one emulated
     NVMe device per node, samples spread over all devices."""
-    env = Environment()
-    cluster = Cluster(
-        env, Testbed.paper_emulated(), num_nodes=num_nodes, devices_per_node=1
-    )
     per_node = (batches_per_node + warmup_batches) * batch
     ds = _dataset(max(2 * num_nodes * per_node, 4000), sample_bytes)
-    fs = DLFS.mount(cluster, ds, DLFSConfig(batching=mode))
-    clients = [
-        fs.client(rank=r, num_ranks=num_nodes, node=cluster.node(r))
-        for r in range(num_nodes)
-    ]
-    for c in clients:
-        c.sequence(seed=DEFAULT_SEED)
-
-    def app(env, client):
-        state = {}
-        for _ in range(warmup_batches):
-            yield from _bread_rolling(client, batch, state)
-        client.reactor.read_meter.start()
-        for _ in range(batches_per_node):
-            yield from _bread_rolling(client, batch, state)
-
-    procs = [env.process(app(env, c)) for c in clients]
-    env.run(until=env.all_of(procs))
-    throughput = sum(c.sample_throughput() for c in clients)
-    bandwidth = sum(c.bandwidth() for c in clients)
+    env, cluster, fs = _mount(
+        Testbed.paper_emulated(), num_nodes, ds, DLFSConfig(batching=mode)
+    )
+    throughput, bandwidth = _measure(
+        env, _clients(fs, cluster, num_nodes), warmup_batches,
+        batches_per_node, batch,
+    )
     util = max(n.cpu.core(0).utilization() for n in cluster)
     return Result(throughput, bandwidth, util, env.now)
 
@@ -400,14 +509,12 @@ def dlfs_lookup_time(
     mean is scaled to the full share (lookup cost has no queue effects —
     it is pure local CPU — so the extrapolation is exact).
     """
-    env = Environment()
-    cluster = Cluster(
-        env, Testbed.paper_emulated(), num_nodes=num_nodes, devices_per_node=1
-    )
     # Directory scale matters (tree height); data volume does not.
     ds = _dataset(total_samples, sample_bytes)
-    fs = DLFS.mount(cluster, ds, DLFSConfig(batching="none"))
-    client = fs.client(rank=0, num_ranks=1, node=cluster.node(0))
+    env, cluster, fs = _mount(
+        Testbed.paper_emulated(), num_nodes, ds, DLFSConfig(batching="none")
+    )
+    [client] = _clients(fs, cluster, 1)
     share = total_samples // num_nodes
     count = min(measured_lookups_per_node, share)
     rng = sim_rng("bench.lookup.targets", DEFAULT_SEED)
@@ -512,18 +619,6 @@ def dlfs_disaggregated(
     ``num_devices`` NVMe devices hosted on dedicated storage nodes over
     NVMe-oF.
     """
-    env = Environment()
-    cluster = Cluster(
-        env,
-        Testbed.paper_emulated(),
-        num_nodes=num_clients + num_devices,
-        devices_per_node=0,
-    )
-    placement = []
-    for d in range(num_devices):
-        storage = cluster.node(num_clients + d)
-        storage.add_device()
-        placement.append((storage.index, 0))
     per_client = (batches_per_client + warmup_batches) * batch
     ds = _dataset(
         max(2 * num_clients * per_client, num_devices * 512, 4000),
@@ -533,29 +628,15 @@ def dlfs_disaggregated(
         # A client fanning out over many devices needs a deeper chunk
         # pipeline to keep every qpair busy (one window share each).
         window = max(8, 8 * num_devices // max(num_clients, 1))
-    fs = DLFS.mount(
-        cluster, ds, DLFSConfig(batching="chunk", window=window),
-        placement=placement,
+    env, cluster, fs = _mount(
+        Testbed.paper_emulated(), num_clients + num_devices, ds,
+        DLFSConfig(batching="chunk", window=window),
+        storage=(num_clients, num_devices),
     )
-    clients = [
-        fs.client(rank=r, num_ranks=num_clients, node=cluster.node(r))
-        for r in range(num_clients)
-    ]
-    for c in clients:
-        c.sequence(seed=DEFAULT_SEED)
-
-    def app(env, client):
-        state = {}
-        for _ in range(warmup_batches):
-            yield from _bread_rolling(client, batch, state)
-        client.reactor.read_meter.start()
-        for _ in range(batches_per_client):
-            yield from _bread_rolling(client, batch, state)
-
-    procs = [env.process(app(env, c)) for c in clients]
-    env.run(until=env.all_of(procs))
-    throughput = sum(c.sample_throughput() for c in clients)
-    bandwidth = sum(c.bandwidth() for c in clients)
+    throughput, bandwidth = _measure(
+        env, _clients(fs, cluster, num_clients), warmup_batches,
+        batches_per_client, batch,
+    )
     return Result(throughput, bandwidth, 0.0, env.now)
 
 
@@ -592,7 +673,7 @@ def dlfs_chaos(
     seed: int = DEFAULT_SEED,
     queue_depth: int = 128,
     testbed: Optional[Testbed] = None,
-) -> ChaosResult:
+) -> RunReport:
     """Full-epoch DLFS run under a fault plan, with strict accounting.
 
     Unlike the steady-state figure drivers this runs *complete* epochs
@@ -600,21 +681,15 @@ def dlfs_chaos(
     clients down, so the invariant ``delivered + failed == expected``
     is checkable — the ISSUE's acceptance bar for graceful degradation.
     """
-    env = Environment()
-    cluster = Cluster(
-        env, testbed or Testbed.paper_emulated(),
-        num_nodes=num_nodes, devices_per_node=1,
-    )
-    ds = _dataset(num_samples, sample_bytes)
     config = DLFSConfig(
         batching=mode, queue_depth=queue_depth,
         fault_plan=fault_plan, recovery=recovery,
     )
-    fs = DLFS.mount(cluster, ds, config)
-    clients = [
-        fs.client(rank=r, num_ranks=num_nodes, node=cluster.node(r))
-        for r in range(num_nodes)
-    ]
+    env, cluster, fs = _mount(
+        testbed or Testbed.paper_emulated(), num_nodes,
+        _dataset(num_samples, sample_bytes), config,
+    )
+    clients = _clients(fs, cluster, num_nodes)
     expected = [0] * num_nodes
 
     def app(env, client):
@@ -625,33 +700,17 @@ def dlfs_chaos(
                 samples = yield from client.bread(count)
                 expected[client.rank] += len(samples)
 
-    procs = [env.process(app(env, c), name=f"chaos{c.rank}") for c in clients]
-    env.run(until=env.all_of(procs))
-    # Measure over the application window; the drain below only lets
+    # Measure over the application window; the teardown drain only lets
     # trailing recovery timers (watchdogs, reset drivers) expire.
-    app_time = env.now
-
-    def teardown(env):
-        for c in clients:
-            yield from c.shutdown()
-
-    env.run(until=env.process(teardown(env), name="chaos.teardown"))
-    env.run()  # drain trailing timers (watchdogs, reset drivers)
-
+    app_time = _run_epochs(env, clients, app, "chaos")
     delivered = sum(c.samples_delivered for c in clients)
-    failed = sum(c.failed_samples for c in clients)
-    recovery_merged: dict = {"degraded_time": 0.0}
-    for c in clients:
-        for key, value in c.recovery_stats.as_dict().items():
-            recovery_merged[key] = recovery_merged.get(key, 0) + value
-    throughput = delivered / app_time if app_time > 0 else 0.0
-    return ChaosResult(
-        sample_throughput=throughput,
+    return RunReport(
+        sample_throughput=delivered / app_time if app_time > 0 else 0.0,
         delivered=delivered,
-        failed=failed,
+        failed=sum(c.failed_samples for c in clients),
         expected=sum(expected),
         sim_time=app_time,
-        recovery=recovery_merged,
+        recovery=_merge_recovery(clients, {"degraded_time": 0.0}),
         fault_counts=(
             fs.injector.counts.as_dict() if fs.injector is not None else {}
         ),
@@ -676,7 +735,7 @@ def dlfs_observed(
     seed: int = DEFAULT_SEED,
     queue_depth: int = 128,
     testbed: Optional[Testbed] = None,
-) -> TraceReport:
+) -> RunReport:
     """One DLFS run with the observability subsystem attached.
 
     Drives ``samples`` total sample reads (rolling over epochs as a
@@ -685,23 +744,16 @@ def dlfs_observed(
     returned ``samples_read`` order and ``sim_time`` are bit-identical,
     which is what the determinism test in ``tests/test_obs.py`` checks.
     """
-    env = Environment()
-    cluster = Cluster(
-        env,
-        testbed or (Testbed.paper() if num_nodes == 1 else Testbed.paper_emulated()),
-        num_nodes=num_nodes, devices_per_node=1,
-    )
-    ds = _dataset(max(2 * samples, 2000), sample_bytes)
     config = DLFSConfig(
         batching=mode, queue_depth=queue_depth,
         fault_plan=fault_plan, recovery=recovery,
         trace=trace, metrics=metrics, snapshot_period=snapshot_period,
     )
-    fs = DLFS.mount(cluster, ds, config)
-    clients = [
-        fs.client(rank=r, num_ranks=num_nodes, node=cluster.node(r))
-        for r in range(num_nodes)
-    ]
+    env, cluster, fs = _mount(
+        testbed or (Testbed.paper() if num_nodes == 1 else Testbed.paper_emulated()),
+        num_nodes, _dataset(max(2 * samples, 2000), sample_bytes), config,
+    )
+    clients = _clients(fs, cluster, num_nodes)
     for c in clients:
         c.sequence(seed=seed)
     per_client = samples // num_nodes
@@ -719,76 +771,23 @@ def dlfs_observed(
             done += len(got)
         read_log[client.rank] = np.concatenate(chunks)
 
-    procs = [env.process(app(env, c), name=f"obs{c.rank}") for c in clients]
-    env.run(until=env.all_of(procs))
-    app_time = env.now
-
-    def teardown(env):
-        for c in clients:
-            yield from c.shutdown()
-
-    env.run(until=env.process(teardown(env), name="obs.teardown"))
-    env.run()  # drain trailing timers (watchdogs, reset drivers)
-
+    app_time = _run_epochs(env, clients, app, "obs")
     delivered = sum(c.samples_delivered for c in clients)
-    failed = sum(c.failed_samples for c in clients)
-    recovery_merged: dict = {}
-    for c in clients:
-        for key, value in c.recovery_stats.as_dict().items():
-            recovery_merged[key] = recovery_merged.get(key, 0) + value
-    return TraceReport(
+    return RunReport(
         sample_throughput=delivered / app_time if app_time > 0 else 0.0,
         delivered=delivered,
-        failed=failed,
+        failed=sum(c.failed_samples for c in clients),
         sim_time=env.now,
         samples_read=np.concatenate(read_log),
         obs=fs.obs,
         reactor_names=tuple(c.reactor.name for c in clients),
-        recovery=recovery_merged,
+        recovery=_merge_recovery(clients),
     )
 
 
 # ---------------------------------------------------------------------------
 # Multi-tenant serving driver
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TenancyReport:
-    """One multi-tenant serving run (:func:`dlfs_tenancy`)."""
-
-    #: Delivered samples per simulated second (over the full run).
-    sample_throughput: float
-    #: Samples delivered across all tenants.
-    delivered: int
-    #: Samples lost to unrecoverable faults.
-    failed: int
-    #: Jobs bounced by admission control (token-bucket queue overflow).
-    rejected_jobs: int
-    #: Final simulated time (arrival horizon + drain + teardown).
-    sim_time: float
-    #: Every completed job's sample indices in (tenant, job-key) order —
-    #: the determinism witness (completion-order independent).
-    samples_read: np.ndarray
-    #: Per-tenant accounting rows at the end of the run (after drain).
-    per_tenant: tuple
-    #: The same rows snapshotted at the arrival-horizon edge, while the
-    #: system is still saturated.  Whole-run shares equalize during the
-    #: drain (every admitted job eventually completes), so fairness is
-    #: only visible in this window.
-    window_rows: tuple
-    #: Fraction of device-service bytes per tenant over the measured
-    #: window ``[warmup, horizon]``.  This is the SFQ fairness metric:
-    #: job-level bytes over-credit backlogged tenants whose jobs dedup
-    #: onto already-pending fetches.
-    service_shares: dict
-    #: Device-service byte deltas behind ``service_shares``.
-    service_bytes: dict
-    #: Scheduler counters: preemptions, forced (anti-starvation) serves.
-    preemptions: int
-    forced_serves: int
-    #: The observability bundle (null objects unless metrics/trace on).
-    obs: object
-
 
 def demo_tenants() -> tuple:
     """The reference three-tenant mix: ``(specs, workloads)``.
@@ -874,7 +873,7 @@ def dlfs_tenancy(
     recovery: Optional[RecoveryPolicy] = None,
     max_bypass: int = 8,
     testbed: Optional[Testbed] = None,
-) -> TenancyReport:
+) -> RunReport:
     """One multi-tenant serving run on a single node.
 
     Defaults to :func:`demo_tenants`.  The testbed's hugepage pool is
@@ -894,19 +893,17 @@ def dlfs_tenancy(
         specs, workloads = demo_tenants()
     if not 0.0 <= warmup < horizon:
         raise ConfigError("need 0 <= warmup < horizon")
-    env = Environment()
     tb = testbed or Testbed.paper()
     if hugepage_bytes:
         tb = dataclasses.replace(tb, hugepage_bytes=hugepage_bytes)
-    cluster = Cluster(env, tb, num_nodes=1, devices_per_node=1)
     ds = _dataset(num_samples, sample_bytes)
     config = DLFSConfig(
         batching="sample", queue_depth=queue_depth, tenants=tuple(specs),
         tenancy_max_bypass=max_bypass, trace=trace, metrics=metrics,
         fault_plan=fault_plan, recovery=recovery,
     )
-    fs = DLFS.mount(cluster, ds, config)
-    client = fs.client(rank=0, num_ranks=1)
+    env, cluster, fs = _mount(tb, 1, ds, config)
+    [client] = _clients(fs, cluster, 1)
     runtime = client.tenancy
     engine = TrafficEngine(
         env, runtime, ds, tuple(workloads), seed=seed, horizon=horizon
@@ -924,12 +921,7 @@ def dlfs_tenancy(
     window_rows = tuple(runtime.accounting.rows())
     env.run(until=env.all_of(procs))
     env.run(until=env.process(engine.drain(), name="tenancy.drain"))
-
-    def teardown(env):
-        yield from client.shutdown()
-
-    env.run(until=env.process(teardown(env), name="tenancy.teardown"))
-    env.run()  # drain trailing timers
+    _teardown(env, [client], "tenancy.teardown")
 
     deltas = {
         t: edge[t] - base.get(t, 0) for t in sorted(edge)
@@ -938,7 +930,7 @@ def dlfs_tenancy(
     total = sum(deltas.values())
     shares = {t: deltas[t] / total for t in deltas} if total else {}
     sched = runtime.scheduler
-    return TenancyReport(
+    return RunReport(
         sample_throughput=engine.delivered / env.now if env.now > 0 else 0.0,
         delivered=engine.delivered,
         failed=engine.failed,
@@ -951,6 +943,7 @@ def dlfs_tenancy(
         service_bytes=deltas,
         preemptions=sched.preemptions,
         forced_serves=sched.forced_serves,
+        recovery=_merge_recovery([client]),
         obs=fs.obs,
     )
 
@@ -958,44 +951,6 @@ def dlfs_tenancy(
 # ---------------------------------------------------------------------------
 # Replicated cluster serving driver (crash / rejoin / hedged reads)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """One replicated-cluster serving run (:func:`dlfs_cluster`)."""
-
-    #: Delivered samples per simulated second (over the full run).
-    sample_throughput: float
-    #: Samples delivered across all clients and tenants.
-    delivered: int
-    #: Samples lost to unrecoverable faults (zero in every healthy and
-    #: single-crash R>=2 configuration — the failover gate).
-    failed: int
-    #: Jobs completed across all traffic engines.
-    jobs: int
-    #: Final simulated time (arrival horizon + drain + teardown).
-    sim_time: float
-    #: Every completed job's sample indices in (client, tenant, job-key)
-    #: order — the determinism witness (completion-order independent).
-    samples_read: np.ndarray
-    #: Per-tenant accounting rows merged across clients (counts summed,
-    #: percentiles recomputed from the merged completion records).
-    per_tenant: tuple
-    #: Every job completion as ``(t_done, tenant, latency, delivered,
-    #: failed)``, merged over all clients and sorted — the raw material
-    #: for windowed (victim-window) percentiles in the crash benches.
-    records: tuple
-    #: Merged reactor recovery accounting (failovers, hedges_posted,
-    #: hedges_dropped, node_down/up, degraded_time, ...).
-    recovery: dict
-    #: Lifecycle counters (crashes, rejoins, handoffs, rewarms) — empty
-    #: dict when no crash schedule was installed.
-    lifecycle: dict
-    #: Balancer counters merged across clients: per-lane ``routed``
-    #: totals plus ``failovers`` and ``cache_routed``.
-    balancer: dict
-    #: The observability bundle (null objects unless metrics/trace on).
-    obs: object
-
 
 def cluster_tenants(num_samples: int = 8192, rate: float = 3000.0) -> tuple:
     """The reference cluster serving mix: ``(specs, workloads)``.
@@ -1030,8 +985,11 @@ def _merge_tenant_rows(runtimes: list, records: tuple) -> tuple:
     """Merge per-client accounting rows by tenant name.
 
     Counts sum exactly; latency percentiles are recomputed from the
-    merged completion records (per-client histograms can't be merged).
+    merged completion records, and the transform-queue wait p99 from the
+    exactly merged per-client ``xform_wait`` histograms.
     """
+    from ..obs.metrics import merge_histograms
+
     by_latency: dict = {}
     for _t, tenant, latency, _ok, _fail in records:
         by_latency.setdefault(tenant, []).append(latency)
@@ -1042,21 +1000,35 @@ def _merge_tenant_rows(runtimes: list, records: tuple) -> tuple:
             if name not in merged:
                 merged[name] = dict(row)
             else:
-                m = merged[name]
                 for key in (
                     "jobs", "rejected", "samples", "failed", "bytes",
                     "slo_violations",
                 ):
-                    if key in row:
-                        m[key] = m.get(key, 0) + row[key]
-    total_bytes = sum(m.get("bytes", 0) for m in merged.values())
+                    merged[name][key] += row[key]
+    total_bytes = sum(m["bytes"] for m in merged.values())
     for name, m in merged.items():
-        m["share"] = m.get("bytes", 0) / total_bytes if total_bytes else 0.0
+        m["share"] = m["bytes"] / total_bytes if total_bytes else 0.0
         lats = sorted(by_latency.get(name, ()))
         if lats:
             m["p50"] = lats[int(0.50 * (len(lats) - 1))]
             m["p99"] = lats[int(0.99 * (len(lats) - 1))]
+        wait = merge_histograms(
+            rt.accounting.registry.histograms.get(f"tenant.{name}.xform_wait")
+            for rt in runtimes
+        )
+        m["xform_wait_p99"] = wait.percentile(99.0) if wait is not None else 0.0
     return tuple(merged[name] for name in sorted(merged))
+
+
+def _merge_balancers(clients) -> dict:
+    """Per-client front-end balancer counters, summed."""
+    merged: dict = {"routed": {}, "failovers": 0, "cache_routed": 0}
+    for fe in (c.balancer for c in clients if c.balancer is not None):
+        for lane, count in fe.routed.items():
+            merged["routed"][lane] = merged["routed"].get(lane, 0) + count
+        merged["failovers"] += fe.failovers
+        merged["cache_routed"] += fe.cache_routed
+    return merged
 
 
 def dlfs_cluster(
@@ -1076,7 +1048,10 @@ def dlfs_cluster(
     workloads: Optional[tuple] = None,
     metrics: bool = False,
     trace: bool = False,
-) -> ClusterReport:
+    spec=None,
+    xform_crashes: tuple = (),
+    testbed: Optional[Testbed] = None,
+) -> RunReport:
     """One replicated cluster serving run under live traffic.
 
     ``num_clients`` compute nodes front ``num_storage`` single-device
@@ -1092,6 +1067,11 @@ def dlfs_cluster(
     and no rejoin the drain would wedge on parked fetches, so permanent
     single-replica crashes are rejected by :class:`FaultPlan`
     validation upstream.
+
+    ``spec`` (a :class:`repro.xform.XformSpec` with stages) adds the
+    fetch/transform tier, ``xform_crashes`` crashes its workers and
+    ``testbed`` overrides the hardware; :func:`dlfs_xform` documents
+    all three.  With ``spec=None`` nothing of the tier is built.
     """
     from ..tenancy import TrafficEngine
 
@@ -1099,18 +1079,10 @@ def dlfs_cluster(
         raise ConfigError("pass both specs and workloads, or neither")
     if specs is None:
         specs, workloads = cluster_tenants(num_samples)
-    env = Environment()
-    cluster = Cluster(
-        env,
-        Testbed.paper_emulated(),
-        num_nodes=num_clients + num_storage,
-        devices_per_node=0,
-    )
-    placement = []
-    for d in range(num_storage):
-        storage = cluster.node(num_clients + d)
-        storage.add_device()
-        placement.append((storage.index, 0))
+    enabled = spec is not None and spec.enabled
+    if xform_crashes and not enabled:
+        raise ConfigError("xform_crashes given but no transform stages")
+    num_workers = spec.workers if enabled else 0
     ds = _dataset(num_samples, sample_bytes)
     plan = FaultPlan(node_crashes=tuple(node_crashes)) if node_crashes else None
     config = DLFSConfig(
@@ -1126,194 +1098,15 @@ def dlfs_cluster(
         trace=trace,
         metrics=metrics,
     )
-    fs = DLFS.mount(cluster, ds, config, placement=placement)
-    clients = [
-        fs.client(rank=r, num_ranks=num_clients, node=cluster.node(r))
-        for r in range(num_clients)
-    ]
-    runtimes = []
-    engines = []
-    procs = []
-    for r, client in enumerate(clients):
-        runtime = ClusterRuntime(env, client.reactor, specs)
-        engine = TrafficEngine(
-            env, runtime, ds, tuple(workloads),
-            seed=seed + 1000 * r, horizon=horizon,
-        )
-        runtimes.append(runtime)
-        engines.append(engine)
-        procs.extend(engine.start())
-    env.run(until=env.all_of(procs))
-    for r, engine in enumerate(engines):
-        env.run(until=env.process(engine.drain(), name=f"cluster.drain[{r}]"))
-
-    def teardown(env, client):
-        yield from client.shutdown()
-
-    for r, client in enumerate(clients):
-        env.run(
-            until=env.process(
-                teardown(env, client), name=f"cluster.teardown[{r}]"
-            )
-        )
-    env.run()  # drain trailing timers (rejoin schedules, watchdogs)
-
-    records = tuple(sorted(rec for rt in runtimes for rec in rt.records))
-    recovery: dict = {}
-    for client in clients:
-        for key, value in client.reactor.recovery_stats.as_dict().items():
-            recovery[key] = recovery.get(key, 0) + value
-    routed: dict = {}
-    failovers = 0
-    cache_routed = 0
-    for client in clients:
-        fe = client.balancer
-        if fe is None:
-            continue
-        for lane, count in fe.routed.items():
-            routed[lane] = routed.get(lane, 0) + count
-        failovers += fe.failovers
-        cache_routed += fe.cache_routed
-    witness_parts = [e.samples_read() for e in engines]
-    witness = (
-        np.concatenate(witness_parts)
-        if witness_parts
-        else np.empty(0, dtype=np.int64)
+    env, cluster, fs = _mount(
+        testbed or Testbed.paper_emulated(),
+        num_clients + num_storage + num_workers, ds, config,
+        storage=(num_clients, num_storage),
     )
-    delivered = sum(e.delivered for e in engines)
-    return ClusterReport(
-        sample_throughput=delivered / env.now if env.now > 0 else 0.0,
-        delivered=delivered,
-        failed=sum(e.failed for e in engines),
-        jobs=sum(e.jobs_completed for e in engines),
-        sim_time=env.now,
-        samples_read=witness,
-        per_tenant=_merge_tenant_rows(runtimes, records),
-        records=records,
-        recovery=recovery,
-        lifecycle=fs.lifecycle.counters() if fs.lifecycle is not None else {},
-        balancer={
-            "routed": routed,
-            "failovers": failovers,
-            "cache_routed": cache_routed,
-        },
-        obs=fs.obs,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Disaggregated fetch/transform tier driver (xform)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class XformReport:
-    """One fetch/transform serving run (:func:`dlfs_xform`)."""
-
-    #: Delivered samples per simulated second (over the full run).
-    sample_throughput: float
-    #: Samples delivered across all clients and tenants.
-    delivered: int
-    #: Samples lost to unrecoverable faults.
-    failed: int
-    #: Jobs completed across all traffic engines.
-    jobs: int
-    #: Final simulated time (arrival horizon + drain + teardown).
-    sim_time: float
-    #: Every completed job's sample indices in (client, tenant, job-key)
-    #: order — the determinism witness (completion-order independent).
-    samples_read: np.ndarray
-    #: Per-tenant accounting rows merged across clients (includes the
-    #: transform-queue wait column; zero-filled when xform is off).
-    per_tenant: tuple
-    #: Every job completion, merged over all clients and sorted.
-    records: tuple
-    #: Transform-tier counters (tasks, direct_ships, redispatches,
-    #: crashes, rejoins, boundary, stages) — empty dict when xform off.
-    tier: dict
-    #: TransferEngine per-link attribution rows — empty when xform off.
-    links: tuple
-    #: Per-tier CPU utilization rows (storage pushdown cores + transform
-    #: workers) — empty when xform off.
-    utilization: tuple
-    #: Per-transform-lane routed task counts — empty when xform off.
-    routed: dict
-    #: The observability bundle (null objects unless metrics/trace on).
-    obs: object
-
-
-def dlfs_xform(
-    num_storage: int = 2,
-    num_clients: int = 2,
-    num_samples: int = 2048,
-    sample_bytes: int = 64 * 1024,
-    horizon: float = 0.01,
-    seed: int = DEFAULT_SEED,
-    spec=None,
-    xform_crashes: tuple = (),
-    replicas: int = 1,
-    balancer: bool = False,
-    queue_depth: int = 32,
-    specs: Optional[tuple] = None,
-    workloads: Optional[tuple] = None,
-    metrics: bool = False,
-    trace: bool = False,
-    testbed: Optional[Testbed] = None,
-) -> XformReport:
-    """One serving run through the disaggregated fetch/transform tier.
-
-    ``spec`` is a :class:`repro.xform.XformSpec`; ``None`` or a spec
-    with no stages is the pay-for-use contract: **no** transform worker
-    nodes are built (extra NICs would perturb the fabric digest) and
-    the run is bit-identical to :func:`dlfs_cluster` with the same
-    arguments — the ``xform_pay_for_use`` perfcheck workload holds the
-    two side by side.
-
-    With stages configured, ``spec.workers`` extra CPU-only nodes join
-    the cluster as transform lanes.  Each fetched job re-enters the
-    tier: the pushdown prefix of the stage pipeline burns storage-node
-    CPU, the boundary bytes ship storage→worker through the chunked
-    :class:`~repro.xform.TransferEngine`, the suffix runs on the
-    client's affinity lane, and the output ships worker→trainer before
-    the job completes — so transform queueing counts against tenant
-    SLOs.  ``testbed`` overrides the hardware description (the
-    crossover benchmark sweeps fabric bandwidth through it).
-    ``xform_crashes`` entries are ``(worker, crash_time,
-    rejoin_time)``; in-flight tasks on a crashed lane re-dispatch to
-    survivors (re-shipping their bytes), and the run must still deliver
-    every sample.
-    """
-    from ..tenancy import TrafficEngine
-    from ..xform import XformRuntime, XformTier
-
-    if (specs is None) != (workloads is None):
-        raise ConfigError("pass both specs and workloads, or neither")
-    if specs is None:
-        specs, workloads = cluster_tenants(num_samples)
-    enabled = spec is not None and spec.enabled
-    num_workers = spec.workers if enabled else 0
-    env = Environment()
-    cluster = Cluster(
-        env,
-        testbed if testbed is not None else Testbed.paper_emulated(),
-        num_nodes=num_clients + num_storage + num_workers,
-        devices_per_node=0,
-    )
-    placement = []
-    for d in range(num_storage):
-        storage = cluster.node(num_clients + d)
-        storage.add_device()
-        placement.append((storage.index, 0))
-    ds = _dataset(num_samples, sample_bytes)
-    config = DLFSConfig(
-        batching="sample",
-        queue_depth=queue_depth,
-        cluster=ClusterSpec(replicas=replicas, balancer=balancer),
-        trace=trace,
-        metrics=metrics,
-    )
-    fs = DLFS.mount(cluster, ds, config, placement=placement)
     tier = None
     if enabled:
+        from ..xform import XformRuntime, XformTier
+
         worker_nodes = [
             cluster.node(num_clients + num_storage + w)
             for w in range(num_workers)
@@ -1323,12 +1116,7 @@ def dlfs_xform(
             crashes=tuple(xform_crashes),
             registry=fs.obs.metrics if fs.obs.enabled else None,
         )
-    elif xform_crashes:
-        raise ConfigError("xform_crashes given but no transform stages")
-    clients = [
-        fs.client(rank=r, num_ranks=num_clients, node=cluster.node(r))
-        for r in range(num_clients)
-    ]
+    clients = _clients(fs, cluster, num_clients)
     runtimes = []
     engines = []
     procs = []
@@ -1347,41 +1135,93 @@ def dlfs_xform(
         procs.extend(engine.start())
     env.run(until=env.all_of(procs))
     for r, engine in enumerate(engines):
-        env.run(until=env.process(engine.drain(), name=f"xform.drain[{r}]"))
-
-    def teardown(env, client):
-        yield from client.shutdown()
-
+        env.run(until=env.process(engine.drain(), name=f"cluster.drain[{r}]"))
+    # One teardown process per client, each run to completion in turn.
     for r, client in enumerate(clients):
         env.run(
-            until=env.process(
-                teardown(env, client), name=f"xform.teardown[{r}]"
-            )
+            until=env.process(client.shutdown(), name=f"cluster.teardown[{r}]")
         )
     env.run()  # drain trailing timers (rejoin schedules, watchdogs)
 
     records = tuple(sorted(rec for rt in runtimes for rec in rt.records))
     witness_parts = [e.samples_read() for e in engines]
-    witness = (
-        np.concatenate(witness_parts)
-        if witness_parts
-        else np.empty(0, dtype=np.int64)
-    )
     delivered = sum(e.delivered for e in engines)
-    return XformReport(
+    return RunReport(
         sample_throughput=delivered / env.now if env.now > 0 else 0.0,
         delivered=delivered,
         failed=sum(e.failed for e in engines),
         jobs=sum(e.jobs_completed for e in engines),
         sim_time=env.now,
-        samples_read=witness,
+        samples_read=(
+            np.concatenate(witness_parts)
+            if witness_parts
+            else np.empty(0, dtype=np.int64)
+        ),
         per_tenant=_merge_tenant_rows(runtimes, records),
         records=records,
+        recovery=_merge_recovery(clients),
+        lifecycle=fs.lifecycle.counters() if fs.lifecycle is not None else {},
+        balancer=_merge_balancers(clients),
         tier=tier.counters() if tier is not None else {},
         links=tuple(tier.engine.link_rows()) if tier is not None else (),
         utilization=tuple(tier.utilization_rows()) if tier is not None else (),
         routed=tier.routed() if tier is not None else {},
         obs=fs.obs,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Disaggregated fetch/transform tier driver (xform)
+# ---------------------------------------------------------------------------
+
+def dlfs_xform(
+    num_storage: int = 2,
+    num_clients: int = 2,
+    num_samples: int = 2048,
+    sample_bytes: int = 64 * 1024,
+    horizon: float = 0.01,
+    seed: int = DEFAULT_SEED,
+    spec=None,
+    xform_crashes: tuple = (),
+    replicas: int = 1,
+    balancer: bool = False,
+    queue_depth: int = 32,
+    specs: Optional[tuple] = None,
+    workloads: Optional[tuple] = None,
+    metrics: bool = False,
+    trace: bool = False,
+    testbed: Optional[Testbed] = None,
+) -> RunReport:
+    """One serving run through the disaggregated fetch/transform tier.
+
+    A preset of :func:`dlfs_cluster`: a small flat fleet (two storage
+    nodes, one replica, no balancer).  ``spec`` is a
+    :class:`repro.xform.XformSpec`; ``None`` or a spec with no stages is
+    the pay-for-use contract: **no** transform worker nodes are built
+    (extra NICs would perturb the fabric digest) and the run is
+    bit-identical to :func:`dlfs_cluster` with the same arguments — the
+    ``xform_pay_for_use`` perfcheck workload holds the two side by side.
+
+    With stages configured, ``spec.workers`` extra CPU-only nodes join
+    the cluster as transform lanes.  Each fetched job re-enters the
+    tier: the pushdown prefix of the stage pipeline burns storage-node
+    CPU, the boundary bytes ship storage→worker through the chunked
+    :class:`~repro.xform.TransferEngine`, the suffix runs on the
+    client's affinity lane, and the output ships worker→trainer before
+    the job completes — so transform queueing counts against tenant
+    SLOs.  ``testbed`` overrides the hardware description (the
+    crossover benchmark sweeps fabric bandwidth through it).
+    ``xform_crashes`` entries are ``(worker, crash_time,
+    rejoin_time)``; in-flight tasks on a crashed lane re-dispatch to
+    survivors (re-shipping their bytes), and the run must still deliver
+    every sample.
+    """
+    return dlfs_cluster(
+        num_storage=num_storage, num_clients=num_clients, replicas=replicas,
+        num_samples=num_samples, sample_bytes=sample_bytes, horizon=horizon,
+        seed=seed, balancer=balancer, queue_depth=queue_depth, specs=specs,
+        workloads=workloads, metrics=metrics, trace=trace, spec=spec,
+        xform_crashes=xform_crashes, testbed=testbed,
     )
 
 

@@ -83,7 +83,7 @@ import time
 from typing import Callable
 
 from .bench import figures as F
-from .bench.report import render_figure, render_headline
+from .bench.report import render_figure, render_headline, render_run
 
 __all__ = ["main", "FIGURES"]
 
@@ -112,22 +112,28 @@ def _run_figure(name: str, scale: float):
     return fn(scale=scale)
 
 
-def _parse_crash(spec: str) -> tuple:
-    """Parse a ``LANE=T1[:T2]`` crash spec into a node_crashes tuple."""
-    lane_s, sep, times = spec.partition("=")
-    if not sep:
-        raise ValueError(f"{spec!r}: expected LANE=T1[:T2]")
+def _fault_plan(text: str):
+    """argparse type of ``--fault-plan``: a :class:`FaultPlan`."""
+    from .errors import ConfigError
+    from .faults import parse_fault_plan
+
     try:
-        lane = int(lane_s)
-    except ValueError:
-        raise ValueError(f"{spec!r}: lane must be an integer") from None
-    t1_s, sep, t2_s = times.partition(":")
+        return parse_fault_plan(text)
+    except (ConfigError, OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _crash(spec: str) -> tuple:
+    """argparse type of ``--crash INDEX=T1[:T2]``: one crash entry."""
+    index, _, times = spec.partition("=")
+    t1, rejoins, t2 = times.partition(":")
     try:
-        t1 = float(t1_s)
-        t2 = float(t2_s) if sep else None
+        return (int(index), float(t1), float(t2) if rejoins else None)
     except ValueError:
-        raise ValueError(f"{spec!r}: times must be numbers") from None
-    return (lane, t1, t2)
+        raise argparse.ArgumentTypeError(
+            f"{spec!r}: expected INDEX=T1[:T2] (integer lane or worker, "
+            "times in sim seconds)"
+        ) from None
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -177,6 +183,167 @@ def _emit(result, out_dir: pathlib.Path | None, headline_only: bool) -> None:
         )
 
 
+def _chaos(args):
+    import dataclasses
+
+    from .bench.workloads import dlfs_chaos
+
+    plan = args.fault_plan
+    if args.seed is not None:
+        plan = dataclasses.replace(plan, seed=args.seed)
+    r = dlfs_chaos(
+        plan, num_nodes=args.nodes, sample_bytes=args.size,
+        num_samples=args.samples, epochs=args.epochs, mode=args.batching,
+    )
+    title = (f"chaos: {args.nodes} nodes, {args.epochs} epochs, "
+             f"{args.samples} x {args.size} B samples")
+    return r, title, [f"plan              {plan}"]
+
+
+def _trace(args):
+    from .bench.workloads import dlfs_observed
+    from .obs import (
+        render_breakdown,
+        render_percentiles,
+        write_chrome_trace,
+        write_metrics,
+    )
+
+    r = dlfs_observed(
+        samples=args.samples, sample_bytes=args.size, num_nodes=args.nodes,
+        mode=args.batching,
+        fault_plan=None if args.fault_plan.is_zero else args.fault_plan,
+        snapshot_period=args.snapshot_period,
+    )
+    trace_path = write_chrome_trace(r.obs.tracer, args.out / "trace.json")
+    metrics_path = write_metrics(r.obs.metrics, args.out / "metrics.json")
+    tables = [
+        render_breakdown(r.obs.metrics.layers(name), r.sim_time)
+        for name in r.reactor_names
+    ]
+    tables.append(render_percentiles(r.obs.metrics))
+    breakdown_text = "\n\n".join(tables)
+    (args.out / "breakdown.txt").write_text(breakdown_text + "\n")
+    title = (f"trace: {args.nodes} node(s), {r.delivered} samples "
+             f"x {args.size} B")
+    return r, title, [
+        f"spans             {len(r.obs.tracer.spans)}",
+        "",
+        breakdown_text,
+        "",
+        f"wrote {trace_path} (load in https://ui.perfetto.dev)",
+        f"wrote {metrics_path}",
+        f"wrote {args.out / 'breakdown.txt'}",
+    ]
+
+
+def _serve(args):
+    from .bench.workloads import dlfs_tenancy
+
+    r = dlfs_tenancy(
+        horizon=args.horizon, warmup=min(args.warmup, args.horizon / 5),
+        seed=args.seed, queue_depth=args.queue_depth,
+        fault_plan=None if args.fault_plan.is_zero else args.fault_plan,
+    )
+    title = (f"serve: 3 tenants, horizon {args.horizon * 1e3:.0f} ms, "
+             f"seed {args.seed}")
+    return r, title, []
+
+
+def _cluster(args):
+    from .bench.workloads import dlfs_cluster
+
+    r = dlfs_cluster(
+        num_storage=args.storage, num_clients=args.clients,
+        replicas=args.replicas, num_samples=args.samples,
+        horizon=args.horizon, seed=args.seed,
+        node_crashes=tuple(args.crash), hedge_delay=args.hedge,
+        read_cache_chunks=args.read_cache,
+    )
+    title = (f"cluster: {args.storage} storage nodes, {args.clients} "
+             f"client(s), R={args.replicas}, horizon "
+             f"{args.horizon * 1e3:.0f} ms, seed {args.seed}")
+    return r, title, []
+
+
+def _xform(args):
+    from .bench.workloads import dlfs_xform
+    from .xform import XformSpec, parse_stages
+
+    stages = (
+        () if args.stages.strip() in ("", "none")
+        else parse_stages(args.stages)
+    )
+    spec = None
+    if stages:
+        spec = XformSpec(
+            stages=stages, workers=args.workers,
+            placement=args.placement, packed_ratio=args.packed,
+        )
+    else:
+        args.workers = 0  # no transform nodes are built
+    r = dlfs_xform(
+        num_storage=args.storage, num_clients=args.clients,
+        num_samples=args.samples, sample_bytes=args.size,
+        horizon=args.horizon, seed=args.seed, spec=spec,
+        xform_crashes=tuple(args.crash),
+    )
+    title = (f"xform: {args.storage} storage + {args.workers} transform "
+             f"nodes, {args.clients} client(s), stages '{args.stages}', "
+             f"placement {args.placement}, horizon "
+             f"{args.horizon * 1e3:.0f} ms, seed {args.seed}")
+    return r, title, []
+
+
+#: Run subcommand -> (preset returning ``(report, title, extra lines)``,
+#: the arguments its JSON summary leads with or ``None`` for no JSON
+#: summary, the argument values ``--quick`` sets).
+_RUNS = {
+    "chaos": (_chaos, (), {"samples": 512, "epochs": 1}),
+    "trace": (_trace, None, {}),
+    "serve": (_serve, (), {"horizon": 0.02}),
+    "cluster": (
+        _cluster, ("storage", "clients", "replicas"),
+        {"storage": 4, "clients": 1, "samples": 2048, "horizon": 0.01},
+    ),
+    "xform": (
+        _xform,
+        ("storage", "workers", "clients", "stages", "placement", "packed"),
+        {"samples": 1024, "horizon": 0.005},
+    ),
+}
+
+
+def _run(args) -> int:
+    """Run one driver preset, print its report, write its JSON summary.
+
+    Exit 2 on a configuration error, 1 if a run with an ``expected``
+    count does not account for every sample, 0 otherwise.
+    """
+    from .errors import ConfigError
+
+    preset, head, quick = _RUNS[args.command]
+    if getattr(args, "quick", False):
+        vars(args).update(quick)
+    if args.command in ("serve", "cluster", "xform") and args.seed is None:
+        args.seed = 42  # the traffic engines' default; chaos keeps the plan's
+    t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
+    try:
+        r, title, extra = preset(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    as_json = getattr(args, "json", False)
+    if not as_json:
+        print(render_run(r, title, extra))
+    if head is not None:
+        blob = {key: getattr(args, key) for key in head}
+        _write_json(args.out, {**blob, **r.summary()}, as_json)
+    if not as_json:
+        print(f"\n[{args.command} in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
+    return 0 if r.expected is None or r.accounted else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -208,7 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         help="fault-injected run with recovery accounting",
     )
     p_chaos.add_argument(
-        "--fault-plan", default="media=0.01,reset_period=0.002",
+        "--fault-plan", type=_fault_plan,
+        default="media=0.01,reset_period=0.002",
         help="JSON or key=value,... fault plan; 'zero' disables injection "
              "(keys: media, hiccup, timeout, drop, nvmf_drop, reset_period, "
              "reset_jitter, seed)",
@@ -232,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     p_trace.add_argument("--batching", default="chunk",
                          choices=("none", "sample", "chunk"))
     p_trace.add_argument(
-        "--fault-plan", default="zero",
+        "--fault-plan", type=_fault_plan, default="zero",
         help="fault plan as for 'chaos'; default 'zero' (healthy run)",
     )
     p_trace.add_argument("--snapshot-period", type=float, default=0.0,
@@ -252,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="service-share window start (default 0.01)")
     p_serve.add_argument("--queue-depth", type=int, default=32)
     p_serve.add_argument(
-        "--fault-plan", default="zero",
+        "--fault-plan", type=_fault_plan, default="zero",
         help="fault plan as for 'chaos'; supports tenant.NAME=rate keys",
     )
 
@@ -324,7 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     p_cluster.add_argument("--replicas", type=int, default=2,
                            help="replication factor R (default 2)")
     p_cluster.add_argument(
-        "--crash", action="append", default=[], metavar="LANE=T1[:T2]",
+        "--crash", action="append", type=_crash, default=[],
+        metavar="LANE=T1[:T2]",
         help="seeded node crash: lane index, crash time, optional rejoin "
              "time (sim seconds); repeatable",
     )
@@ -362,7 +531,8 @@ def main(argv: list[str] | None = None) -> int:
     p_xform.add_argument("--clients", type=int, default=2,
                          help="client nodes driving traffic (default 2)")
     p_xform.add_argument(
-        "--crash", action="append", default=[], metavar="WORKER=T1[:T2]",
+        "--crash", action="append", type=_crash, default=[],
+        metavar="WORKER=T1[:T2]",
         help="seeded transform-worker crash: worker index, crash time, "
              "optional rejoin time (sim seconds); repeatable",
     )
@@ -435,173 +605,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\n[{args.name} in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0
 
-    if args.command == "chaos":
-        import dataclasses
-
-        from .bench.workloads import dlfs_chaos
-        from .errors import ConfigError
-        from .faults import parse_fault_plan
-
-        try:
-            plan = parse_fault_plan(args.fault_plan)
-        except ConfigError as exc:
-            print(f"error: --fault-plan: {exc}", file=sys.stderr)
-            return 2
-        if args.seed is not None:
-            plan = dataclasses.replace(plan, seed=args.seed)
-        samples = 512 if args.quick else args.samples
-        epochs = 1 if args.quick else args.epochs
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        r = dlfs_chaos(
-            plan,
-            num_nodes=args.nodes,
-            sample_bytes=args.size,
-            num_samples=samples,
-            epochs=epochs,
-            mode=args.batching,
-        )
-        if not args.json:
-            print(f"== chaos: {args.nodes} nodes, {epochs} epochs, "
-                  f"{samples} x {args.size} B samples ==")
-            print(f"plan              {plan}")
-            print(f"throughput        {r.sample_throughput:,.0f} samples/s")
-            print(f"delivered         {r.delivered}")
-            print(f"failed            {r.failed}")
-            print(f"expected          {r.expected}  "
-                  f"({'accounted' if r.accounted else 'MISMATCH'})")
-            print(f"sim time          {r.sim_time * 1e3:.3f} ms")
-            for key, value in sorted(r.fault_counts.items()):
-                print(f"injected {key:<17} {value}")
-            for key, value in sorted(r.recovery.items()):
-                if key == "degraded_time":
-                    print(f"recovery degraded_time     {value * 1e3:.3f} ms")
-                else:
-                    print(f"recovery {key:<17} {value}")
-        _write_json(args.out, {
-            "delivered": r.delivered,
-            "failed": r.failed,
-            "expected": r.expected,
-            "accounted": r.accounted,
-            "sim_time": r.sim_time,
-            "sample_throughput": r.sample_throughput,
-            "fault_counts": dict(r.fault_counts),
-            "recovery": dict(r.recovery),
-        }, args.json)
-        if not args.json:
-            print(f"\n[chaos in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        return 0 if r.accounted else 1
-
-    if args.command == "trace":
-        from .bench.workloads import dlfs_observed
-        from .errors import ConfigError
-        from .faults import parse_fault_plan
-        from .obs import (
-            render_breakdown,
-            render_percentiles,
-            write_chrome_trace,
-            write_metrics,
-        )
-
-        try:
-            plan = parse_fault_plan(args.fault_plan)
-        except ConfigError as exc:
-            print(f"error: --fault-plan: {exc}", file=sys.stderr)
-            return 2
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        r = dlfs_observed(
-            samples=args.samples,
-            sample_bytes=args.size,
-            num_nodes=args.nodes,
-            mode=args.batching,
-            fault_plan=None if plan.is_zero else plan,
-            snapshot_period=args.snapshot_period,
-        )
-        trace_path = write_chrome_trace(r.obs.tracer, args.out / "trace.json")
-        metrics_path = write_metrics(r.obs.metrics, args.out / "metrics.json")
-        tables = []
-        for name in r.reactor_names:
-            tables.append(
-                render_breakdown(r.obs.metrics.layers(name), r.sim_time)
-            )
-        tables.append(render_percentiles(r.obs.metrics))
-        breakdown_text = "\n\n".join(tables)
-        (args.out / "breakdown.txt").write_text(breakdown_text + "\n")
-        print(f"== trace: {args.nodes} node(s), {r.delivered} samples "
-              f"x {args.size} B ==")
-        print(f"throughput        {r.sample_throughput:,.0f} samples/s")
-        print(f"sim time          {r.sim_time * 1e3:.3f} ms")
-        print(f"spans             {len(r.obs.tracer.spans)}")
-        if r.failed:
-            print(f"failed samples    {r.failed}")
-        for key, value in sorted(r.recovery.items()):
-            if not value:
-                continue
-            if key == "degraded_time":
-                print(f"recovery degraded_time     {value * 1e3:.3f} ms")
-            else:
-                print(f"recovery {key:<17} {value}")
-        print()
-        print(breakdown_text)
-        print(f"\nwrote {trace_path} (load in https://ui.perfetto.dev)")
-        print(f"wrote {metrics_path}")
-        print(f"wrote {args.out / 'breakdown.txt'}")
-        print(f"[trace in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        return 0
-
-    if args.command == "serve":
-        from .bench.workloads import dlfs_tenancy
-        from .errors import ConfigError
-        from .faults import parse_fault_plan
-        from .obs import render_tenants
-
-        try:
-            plan = parse_fault_plan(args.fault_plan)
-        except ConfigError as exc:
-            print(f"error: --fault-plan: {exc}", file=sys.stderr)
-            return 2
-        seed = 42 if args.seed is None else args.seed
-        horizon = 0.02 if args.quick else args.horizon
-        warmup = min(args.warmup, horizon / 5)
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        r = dlfs_tenancy(
-            horizon=horizon, warmup=warmup, seed=seed,
-            queue_depth=args.queue_depth,
-            fault_plan=None if plan.is_zero else plan,
-        )
-        if not args.json:
-            print(f"== serve: 3 tenants, horizon {horizon * 1e3:.0f} ms, "
-                  f"seed {seed} ==")
-            print(f"throughput        {r.sample_throughput:,.0f} samples/s")
-            print(f"delivered         {r.delivered}")
-            if r.failed:
-                print(f"failed            {r.failed}")
-            if r.rejected_jobs:
-                print(f"rejected jobs     {r.rejected_jobs}")
-            print(f"sim time          {r.sim_time * 1e3:.3f} ms")
-            print(f"preemptions       {r.preemptions}  "
-                  f"(forced anti-starvation serves: {r.forced_serves})")
-            print()
-            print(render_tenants(
-                r.window_rows,
-                title="saturation window (arrival-horizon edge)",
-                service_shares=r.service_shares,
-            ))
-            print()
-            print(render_tenants(r.per_tenant, title="full run (after drain)"))
-        _write_json(args.out, {
-            "delivered": r.delivered,
-            "failed": r.failed,
-            "rejected_jobs": r.rejected_jobs,
-            "sim_time": r.sim_time,
-            "service_shares": r.service_shares,
-            "preemptions": r.preemptions,
-            "forced_serves": r.forced_serves,
-            "window_rows": list(r.window_rows),
-            "per_tenant": list(r.per_tenant),
-        }, args.json)
-        if not args.json:
-            print(f"[serve in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        return 0
+    if args.command in _RUNS:
+        return _run(args)
 
     if args.command == "lint":
         from .analysis import RULES, lint_paths, render_findings
@@ -682,8 +687,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if new else 0
 
     if args.command == "sanitize":
-        import json
-
         from .analysis import run_sanitizer
         from .analysis.sanitizer import (
             cluster_crash_workload,
@@ -713,11 +716,9 @@ def main(argv: list[str] | None = None) -> int:
                     f"  .. [{name}] {msg}", file=sys.stderr
                 ),
             )
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            blob = {name: r.to_dict() for name, r in reports.items()}
-            args.out.write_text(json.dumps(blob, indent=2, default=str) + "\n")
-            print(f"wrote {args.out}")
+        _write_json(
+            args.out, {name: r.to_dict() for name, r in reports.items()}, False
+        )
         for name, report in reports.items():
             print(f"== scenario: {name} ==")
             print(report.render())
@@ -732,155 +733,10 @@ def main(argv: list[str] | None = None) -> int:
             quick=args.quick,
             progress=lambda msg: print(f"  .. {msg}", file=sys.stderr),
         )
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(report.to_json() + "\n")
-            print(f"wrote {args.out}")
+        _write_json(args.out, report.to_dict(), False)
         print(report.render())
         print(f"[perfcheck in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
         return 0 if report.ok else 1
-
-    if args.command == "cluster":
-        from .bench.workloads import dlfs_cluster
-        from .errors import ConfigError
-        from .obs import render_cluster
-
-        try:
-            crashes = tuple(_parse_crash(spec) for spec in args.crash)
-        except ValueError as exc:
-            print(f"error: --crash: {exc}", file=sys.stderr)
-            return 2
-        seed = 42 if args.seed is None else args.seed
-        storage = 4 if args.quick else args.storage
-        clients = 1 if args.quick else args.clients
-        samples = 2048 if args.quick else args.samples
-        horizon = 0.01 if args.quick else args.horizon
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        try:
-            r = dlfs_cluster(
-                num_storage=storage, num_clients=clients,
-                replicas=args.replicas, num_samples=samples,
-                horizon=horizon, seed=seed, node_crashes=crashes,
-                hedge_delay=args.hedge, read_cache_chunks=args.read_cache,
-            )
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not args.json:
-            print(f"== cluster: {storage} storage nodes, {clients} "
-                  f"client(s), R={args.replicas}, horizon "
-                  f"{horizon * 1e3:.0f} ms, seed {seed} ==")
-            print(f"throughput        {r.sample_throughput:,.0f} samples/s")
-            print(f"delivered         {r.delivered}")
-            if r.failed:
-                print(f"failed            {r.failed}")
-            print(f"jobs              {r.jobs}")
-            print(f"sim time          {r.sim_time * 1e3:.3f} ms")
-            print()
-            print(render_cluster(
-                r.balancer.get("routed", {}), r.recovery, r.lifecycle,
-            ))
-            if r.per_tenant:
-                from .obs import render_tenants
-
-                print()
-                print(render_tenants(
-                    r.per_tenant, title="per-tenant (merged)"
-                ))
-        _write_json(args.out, {
-            "storage": storage,
-            "clients": clients,
-            "replicas": args.replicas,
-            "delivered": r.delivered,
-            "failed": r.failed,
-            "jobs": r.jobs,
-            "sim_time": r.sim_time,
-            "sample_throughput": r.sample_throughput,
-            "balancer": r.balancer,
-            "recovery": r.recovery,
-            "lifecycle": r.lifecycle,
-            "per_tenant": list(r.per_tenant),
-        }, args.json)
-        if not args.json:
-            print(f"[cluster in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        return 0
-
-    if args.command == "xform":
-        from .bench.workloads import dlfs_xform
-        from .errors import ConfigError
-        from .obs import render_tenants, render_xform
-        from .xform import XformSpec, parse_stages
-
-        try:
-            crashes = tuple(_parse_crash(spec) for spec in args.crash)
-        except ValueError as exc:
-            print(f"error: --crash: {exc}", file=sys.stderr)
-            return 2
-        seed = 42 if args.seed is None else args.seed
-        samples = 1024 if args.quick else args.samples
-        horizon = 0.005 if args.quick else args.horizon
-        t0 = time.time()  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        try:
-            stages = (
-                () if args.stages.strip() in ("", "none")
-                else parse_stages(args.stages)
-            )
-            spec = (
-                XformSpec(
-                    stages=stages, workers=args.workers,
-                    placement=args.placement, packed_ratio=args.packed,
-                )
-                if stages else None
-            )
-            r = dlfs_xform(
-                num_storage=args.storage, num_clients=args.clients,
-                num_samples=samples, sample_bytes=args.size,
-                horizon=horizon, seed=seed, spec=spec,
-                xform_crashes=crashes,
-            )
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not args.json:
-            print(f"== xform: {args.storage} storage + "
-                  f"{args.workers if spec else 0} transform nodes, "
-                  f"{args.clients} client(s), stages '{args.stages}', "
-                  f"placement {args.placement}, horizon "
-                  f"{horizon * 1e3:.0f} ms, seed {seed} ==")
-            print(f"throughput        {r.sample_throughput:,.0f} samples/s")
-            print(f"delivered         {r.delivered}")
-            if r.failed:
-                print(f"failed            {r.failed}")
-            print(f"jobs              {r.jobs}")
-            print(f"sim time          {r.sim_time * 1e3:.3f} ms")
-            print()
-            print(render_xform(r.tier, r.utilization, r.links, r.routed))
-            if r.per_tenant:
-                print()
-                print(render_tenants(
-                    r.per_tenant, title="per-tenant (merged)"
-                ))
-        _write_json(args.out, {
-            "storage": args.storage,
-            "workers": args.workers if spec else 0,
-            "clients": args.clients,
-            "stages": args.stages,
-            "placement": args.placement,
-            "packed": args.packed,
-            "delivered": r.delivered,
-            "failed": r.failed,
-            "jobs": r.jobs,
-            "sim_time": r.sim_time,
-            "sample_throughput": r.sample_throughput,
-            "tier": r.tier,
-            "links": list(r.links),
-            "utilization": list(r.utilization),
-            "routed": r.routed,
-            "per_tenant": list(r.per_tenant),
-        }, args.json)
-        if not args.json:
-            print(f"[xform in {time.time() - t0:.1f}s]")  # simlint: disable=SL101 -- CLI progress timing, not sim state
-        return 0
 
     if args.command == "scale":
         import dataclasses

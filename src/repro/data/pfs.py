@@ -43,10 +43,6 @@ class ParallelFS:
         self._pipes = Resource(env, capacity=streams, name=f"{name}.streams")
         self.meter = ThroughputMeter(env, name=f"{name}.read")
 
-    @property
-    def aggregate_bandwidth(self) -> float:
-        return self.streams * self.stream_bandwidth
-
     def read(self, nbytes: int) -> Generator[Event, Any, None]:
         """Stream ``nbytes`` out of the PFS (process helper).
 

@@ -230,6 +230,18 @@ def render_tenants(
     return "\n".join(lines)
 
 
+def _routed_table(routed: dict) -> list[str]:
+    """Per-lane routed counts with their shares and a total row."""
+    total = sum(routed.values())
+    lines = [f"  {'lane':>6}  {'routed':>8}  {'share':>6}"]
+    for lane in sorted(routed):
+        count = routed[lane]
+        share = (count / total) if total else 0.0
+        lines.append(f"  {lane:>6}  {count:>8}  {share:>6.1%}")
+    lines.append(f"  {'total':>6}  {total:>8}")
+    return lines
+
+
 def render_cluster(
     routed: dict,
     recovery: Optional[dict] = None,
@@ -244,16 +256,7 @@ def render_cluster(
     lifecycle (kept as dicts so obs never imports cluster).
     """
     lines = [f"-- {title} --"]
-    total = sum(routed.values())
-    if routed:
-        lines.append(f"  {'lane':>6}  {'routed':>8}  {'share':>6}")
-        for lane in sorted(routed):
-            count = routed[lane]
-            share = (count / total) if total else 0.0
-            lines.append(f"  {lane:>6}  {count:>8}  {share:>6.1%}")
-        lines.append(f"  {'total':>6}  {total:>8}")
-    else:
-        lines.append("  (no fetches routed)")
+    lines.extend(_routed_table(routed) if routed else ["  (no fetches routed)"])
     for label, counters in (("recovery", recovery), ("lifecycle", lifecycle)):
         if not counters:
             continue
@@ -278,18 +281,16 @@ def render_xform(
 
     All inputs are plain dicts/rows (``XformTier.counters()``,
     ``.utilization_rows()``, ``TransferEngine.link_rows()``,
-    ``XformTier.routed()``) so obs never imports xform.
+    ``XformTier.routed()``) so obs never imports xform; ``tier`` is a
+    running tier's counters.
     """
-    lines = [f"-- {title} --"]
-    if not tier:
-        lines.append("  (transform tier off: flat datapath)")
-        return "\n".join(lines)
-    lines.append(
+    lines = [
+        f"-- {title} --",
         f"  boundary: {tier['boundary']}/{tier['stages']} stages on storage"
         f"  tasks={tier['tasks']}  direct_ships={tier['direct_ships']}"
         f"  redispatches={tier['redispatches']}"
-        f"  crashes={tier['crashes']}  rejoins={tier['rejoins']}"
-    )
+        f"  crashes={tier['crashes']}  rejoins={tier['rejoins']}",
+    ]
     rows = list(utilization)
     if rows:
         lines.append(f"  {'tier':<8}  {'node':<8}  {'cores':>5}  {'cpu':>6}")
@@ -299,12 +300,7 @@ def render_xform(
                 f"{r['cpu']:>6.1%}"
             )
     if routed:
-        total = sum(routed.values())
-        lines.append(f"  {'lane':>6}  {'routed':>8}  {'share':>6}")
-        for lane in sorted(routed):
-            count = routed[lane]
-            share = (count / total) if total else 0.0
-            lines.append(f"  {lane:>6}  {count:>8}  {share:>6.1%}")
+        lines.extend(_routed_table(routed))
     link_rows = list(links)
     if link_rows:
         lines.append(

@@ -43,6 +43,7 @@ __all__ = [
     "NULL_METRICS",
     "DEFAULT_BOUNDS",
     "log_bounds",
+    "merge_histograms",
 ]
 
 
@@ -195,6 +196,27 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"<Histogram {self.name!r} n={self.count}>"
+
+
+def merge_histograms(hists) -> "Histogram | None":
+    """Exact merge of same-bounds histograms; ``None`` if all are empty.
+
+    Bucket counts, count and total add; min and max combine.  Empty and
+    ``None`` entries are skipped.
+    """
+    hists = [h for h in hists if h is not None and h.count > 0]
+    if not hists:
+        return None
+    merged = Histogram("merged", bounds=hists[0].bounds)
+    for h in hists:
+        if h.bounds != merged.bounds:
+            raise ValueError("cannot merge histograms with differing bounds")
+        merged.counts = [a + b for a, b in zip(merged.counts, h.counts)]
+        merged.count += h.count
+        merged.total += h.total
+        merged._min = min(merged._min, h._min)
+        merged._max = max(merged._max, h._max)
+    return merged
 
 
 class LayerTimes:

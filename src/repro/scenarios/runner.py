@@ -27,6 +27,7 @@ import math
 from typing import Dict, List, Optional
 
 from ..errors import ConfigError
+from ..obs.metrics import merge_histograms
 from .compile import (
     compile_crashes,
     compile_envelopes,
@@ -95,25 +96,6 @@ def _nearest_rank(lats: List[float]) -> dict:
         i = math.ceil(p / 100.0 * len(lats)) - 1
         out[key] = lats[max(0, min(i, len(lats) - 1))]
     return out
-
-
-def _merge_histograms(hists) -> Optional[object]:
-    """Exact merge of same-bounds registry histograms."""
-    from ..obs.metrics import Histogram
-
-    hists = [h for h in hists if h is not None and h.count > 0]
-    if not hists:
-        return None
-    merged = Histogram("merged", bounds=hists[0].bounds)
-    for h in hists:
-        if h.bounds != merged.bounds:  # pragma: no cover - single default
-            raise ConfigError("cannot merge histograms with differing bounds")
-        merged.counts = [a + b for a, b in zip(merged.counts, h.counts)]
-        merged.count += h.count
-        merged.total += h.total
-        merged._min = min(merged._min, h._min)
-        merged._max = max(merged._max, h._max)
-    return merged
 
 
 def _hist_percentiles(hist) -> dict:
@@ -200,7 +182,7 @@ def _run_tenancy(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
 
     percentiles: dict = {}
     for base in sorted(by_base):
-        merged = _merge_histograms(
+        merged = merge_histograms(
             hist_by_name.get(n) for n in names
             if split_workload_name(n)[0] == base
         )
@@ -215,7 +197,7 @@ def _run_tenancy(scn: Scenario, quick: bool, seed: int, perturb: float) -> dict:
             metrics[f"{base}.jobs"] = sum(r["jobs"] for r in rows)
             metrics[f"{base}.samples"] = sum(r["samples"] for r in rows)
             metrics[f"{base}.failed"] = sum(r["failed"] for r in rows)
-            merged = _merge_histograms(hist_by_name.get(n) for n in wnames)
+            merged = merge_histograms(hist_by_name.get(n) for n in wnames)
             if merged is not None:
                 metrics[f"{base}.p99"] = merged.percentile(99.0)
         per_phase[phase] = metrics

@@ -638,9 +638,6 @@ class ScaleSpec:
     event_window: float = 0.002
     #: SLO bound on tagged request latency, seconds.
     slo: float = 0.01
-    #: Optional transform stage appended to every lane, bytes/second
-    #: (0 = storage + fabric only).
-    xform_rate: float = 0.0
 
     def validate(self) -> None:
         if self.users < self.cohorts or self.cohorts < 1:
@@ -751,15 +748,6 @@ def _cohort_envelopes(spec: ScaleSpec) -> List[Tuple[str, RateEnvelope, int]]:
     return out
 
 
-def _lane_stages(spec: ScaleSpec) -> Tuple[Tuple[str, float], ...]:
-    """Service stages for one lane, from the hardware/transfer models."""
-    from ..cluster.node import fluid_lane_stages
-    stages = list(fluid_lane_stages())
-    if spec.xform_rate > 0.0:
-        stages.append(("xform", float(spec.xform_rate)))
-    return tuple(stages)
-
-
 def _bulk_emitter(env, lane: FluidLane, sched: ArrivalSchedule,
                   start: float, end: float):
     """All-event bulk: one real kernel event per scheduled arrival."""
@@ -840,9 +828,10 @@ def run_scale(
                 )
             if flows < 1:
                 raise ConfigError(f"cohort {name!r}: flows {flows} < 1")
+    from ..cluster.node import fluid_lane_stages
     from .engine import Environment
     env = Environment()
-    stages = _lane_stages(spec)
+    stages = fluid_lane_stages()
     lanes = [
         FluidLane(env, f"lane{i}", stages, registry=registry)
         for i in range(spec.lanes)

@@ -16,8 +16,6 @@ throttled at admission sees that delay in its own tail, not hidden.
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = ["TenantAccounting"]
 
 
@@ -122,12 +120,6 @@ class TenantAccounting:
                 }
             )
         return rows
-
-    def row(self, tenant: str) -> Optional[dict]:
-        for r in self.rows():
-            if r["tenant"] == tenant:
-                return r
-        return None
 
     def __repr__(self) -> str:
         return f"<TenantAccounting tenants={len(self._specs)}>"

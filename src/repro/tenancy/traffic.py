@@ -109,38 +109,6 @@ class TenantWorkload:
                     f"workload {self.name!r}: bad window [{lo}, {hi})"
                 )
 
-    def rate_envelope(
-        self, horizon: float, sample_bytes: int, service_time: float = 0.0
-    ):
-        """This workload's mean sample-rate envelope for fluid lanes.
-
-        The hybrid-fidelity engine (:mod:`repro.sim.fluid`) advances
-        bulk traffic from rate envelopes instead of per-job events; this
-        emits the envelope matching the generator's mean behavior.  Open
-        loops contribute ``rate * batch`` samples/s regardless of
-        completions; the closed ``train`` loop's steady state is one
-        batch per worker per ``think_time + service_time`` cycle, so a
-        service-time estimate is required there (the fluid model has no
-        completion feedback to derive it from).
-        """
-        from ..sim.fluid import RateEnvelope, Segment
-        if horizon <= 0:
-            raise ConfigError(f"workload {self.name!r}: horizon must be > 0")
-        if self.kind == "train":
-            cycle = self.think_time + service_time
-            if cycle <= 0:
-                raise ConfigError(
-                    f"workload {self.name!r}: closed-loop envelope needs "
-                    "think_time + service_time > 0"
-                )
-            samples_per_s = self.concurrency * self.batch / cycle
-        else:
-            samples_per_s = self.rate * self.batch
-        return RateEnvelope(
-            (Segment(0.0, float(horizon), samples_per_s, int(sample_bytes)),)
-        )
-
-
 class TrafficEngine:
     """Drives many concurrent ReadJobs through a tenant runtime."""
 

@@ -36,9 +36,6 @@ class TrainingCurve:
     def final_accuracy(self) -> float:
         return float(self.val_accuracy[-1])
 
-    def best_accuracy(self) -> float:
-        return float(self.val_accuracy.max())
-
 
 def full_random_ordering(num_samples: int, seed: int) -> OrderingSource:
     """Application-driven full randomization (paper's ``Full_Rand``)."""

@@ -57,35 +57,8 @@ from ..sim import Store
 from .stages import pipeline_bytes, pipeline_cost, stages_with_packing
 from .transfer import TransferEngine
 
-__all__ = [
-    "XformSpec", "XformTier", "XformRuntime", "TransformWorker",
-    "transform_fluid_rate",
-]
+__all__ = ["XformSpec", "XformTier", "XformRuntime", "TransformWorker"]
 
-
-def transform_fluid_rate(
-    stages: tuple, worker_cores: int, input_bytes: int
-) -> float:
-    """Steady-state transform throughput in *input* bytes/s per worker.
-
-    One record entering at ``input_bytes`` burns ``sum(pipeline_cost)``
-    CPU seconds spread over ``worker_cores`` concurrent tasks, so a
-    saturated worker's fluid service rate is
-    ``worker_cores * input_bytes / cost``.  This is the transform-queue
-    stage the hybrid-fidelity engine (:mod:`repro.sim.fluid`)
-    rate-balances against the NVMe and fabric stages; an empty pipeline
-    is infinitely fast (no transform stage on the lane).
-    """
-    if worker_cores < 1 or input_bytes < 1:
-        raise ConfigError(
-            "transform_fluid_rate needs worker_cores >= 1, input_bytes >= 1"
-        )
-    if not stages:
-        return math.inf
-    cost = sum(pipeline_cost(stages, input_bytes))
-    if cost <= 0.0:
-        return math.inf
-    return worker_cores * input_bytes / cost
 
 _MASK64 = (1 << 64) - 1
 

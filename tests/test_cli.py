@@ -136,3 +136,107 @@ class TestScenario:
             "--golden-root", str(tmp_path),
         ]) == 2
         assert "no golden master" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit code, whether it returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRunCommands:
+    """chaos/trace/serve/cluster/xform: exit codes and JSON summaries.
+
+    Each ``--json`` summary must keep at least these keys; new keys may
+    be added, none may go away.
+    """
+
+    KEYS = {
+        "chaos": {
+            "delivered", "failed", "expected", "accounted", "sim_time",
+            "sample_throughput", "fault_counts", "recovery",
+        },
+        "serve": {
+            "delivered", "failed", "rejected_jobs", "sim_time",
+            "service_shares", "preemptions", "forced_serves", "window_rows",
+            "per_tenant",
+        },
+        "cluster": {
+            "storage", "clients", "replicas", "delivered", "failed", "jobs",
+            "sim_time", "sample_throughput", "balancer", "recovery",
+            "lifecycle", "per_tenant",
+        },
+        "xform": {
+            "storage", "workers", "clients", "stages", "placement", "packed",
+            "delivered", "failed", "jobs", "sim_time", "sample_throughput",
+            "tier", "links", "utilization", "routed", "per_tenant",
+        },
+    }
+
+    def _summary(self, capsys, argv) -> dict:
+        import json
+
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_chaos_json(self, capsys):
+        blob = self._summary(capsys, ["chaos", "--quick", "--json"])
+        assert set(blob) >= self.KEYS["chaos"]
+        assert blob["accounted"] is True
+        assert blob["delivered"] + blob["failed"] == blob["expected"]
+
+    def test_chaos_out_matches_json(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "chaos.json"
+        assert main(["chaos", "--quick", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "accounted" in text and f"wrote {out}" in text
+        assert set(json.loads(out.read_text())) >= self.KEYS["chaos"]
+
+    def test_serve_json(self, capsys):
+        blob = self._summary(capsys, ["serve", "--quick", "--json"])
+        assert set(blob) >= self.KEYS["serve"]
+        assert {row["tenant"] for row in blob["per_tenant"]} == {
+            "scan", "train_a", "train_b",
+        }
+
+    def test_cluster_json(self, capsys):
+        blob = self._summary(capsys, [
+            "cluster", "--quick", "--crash", "1=0.004:0.008", "--json",
+        ])
+        assert set(blob) >= self.KEYS["cluster"]
+        assert blob["failed"] == 0
+        assert blob["lifecycle"]["crashes"] == 1
+
+    def test_xform_json(self, capsys):
+        blob = self._summary(capsys, ["xform", "--quick", "--json"])
+        assert set(blob) >= self.KEYS["xform"]
+        assert blob["tier"]["tasks"] == blob["jobs"]
+
+    def test_trace_writes_artifacts(self, tmp_path, capsys):
+        assert main(["trace", "--samples", "200", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "throughput" in out and "spans" in out
+        for name in ("trace.json", "metrics.json", "breakdown.txt"):
+            assert (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--fault-plan", "bogus=1"],
+        ["serve", "--fault-plan", "media=notanumber"],
+        ["trace", "--fault-plan", "media"],
+    ])
+    def test_malformed_fault_plan_exits_2(self, argv, capsys):
+        assert _exit_code(argv) == 2
+        assert "--fault-plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--crash", "1:0.004"],
+        ["cluster", "--crash", "x=0.004"],
+        ["xform", "--crash", "0=soon"],
+    ])
+    def test_malformed_crash_exits_2(self, argv, capsys):
+        assert _exit_code(argv) == 2
+        assert "--crash" in capsys.readouterr().err

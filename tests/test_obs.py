@@ -171,6 +171,27 @@ class TestHistogram:
             "p50", "p90", "p99", "p999",
         }
 
+    def test_merge_equals_one_histogram_over_all_observations(self):
+        from repro.obs.metrics import merge_histograms
+
+        parts = [Histogram("a"), Histogram("b"), Histogram("empty")]
+        whole = Histogram("whole")
+        for k in range(300):
+            value = 1e-5 * (1 + k) ** 1.5
+            parts[k % 2].observe(value)
+            whole.observe(value)
+        merged = merge_histograms(parts + [None])
+        assert merged.counts == whole.counts
+        assert merged.count == whole.count
+        assert merged.minimum == whole.minimum
+        assert merged.maximum == whole.maximum
+        assert merged.percentiles() == whole.percentiles()
+        assert merge_histograms([Histogram("e"), None]) is None
+        other = Histogram("other", bounds=(1.0, 2.0))
+        other.observe(1.5)
+        with pytest.raises(ValueError):
+            merge_histograms([parts[0], other])
+
 
 class TestMetricsRegistry:
     def test_instruments_are_get_or_create(self, env):

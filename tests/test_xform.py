@@ -193,6 +193,29 @@ class TestXformEndToEnd:
         assert r.tier["crashes"] == 1
         assert r.tier["rejoins"] == 1
 
+    def test_merged_xform_wait_p99_covers_every_client(self):
+        """Per-tenant rows merged across clients report the p99 of every
+        client's transform-queue waits, not the first client's alone."""
+        from repro.bench.workloads import _merge_tenant_rows
+        from repro.cluster import ClusterRuntime
+        from repro.obs.metrics import Histogram
+        from repro.sim import Environment
+        from repro.tenancy import TenantSpec
+
+        env = Environment()
+        runtimes = [
+            ClusterRuntime(env, None, (TenantSpec(name="train"),))
+            for _ in range(2)
+        ]
+        everything = Histogram("everything")
+        for rt, base in zip(runtimes, (1e-3, 10e-3)):
+            for k in range(100):
+                rt.accounting.on_xform_wait("train", base * (1 + k / 100))
+                everything.observe(base * (1 + k / 100))
+        [row] = _merge_tenant_rows(runtimes, records=())
+        assert row["xform_wait_p99"] == everything.percentile(99.0)
+        assert row["xform_wait_p99"] > 10e-3
+
     def test_crashes_require_stages(self):
         with pytest.raises(ConfigError):
             dlfs_xform(spec=None, xform_crashes=((0, 0.0005, 0.001),))
