@@ -96,15 +96,17 @@ def run_simflow(
 
     # Per-line suppressions — same comment syntax as simlint
     # (`# simlint: disable=SF300 -- reason`); malformed suppressions are
-    # simlint's SL100 business, not re-reported here.
+    # simlint's SL100 business, not re-reported here.  Only a file with
+    # a finding is scanned.
     suppressed_total = 0
     kept: List[Finding] = []
     suppression_maps: Dict[str, Dict[int, Set[str]]] = {}
-    for mod in graph.modules.values():
-        smap, _bad = _scan_suppressions(mod.source, mod.path)
-        suppression_maps[mod.path] = smap
     for f in findings:
-        smap = suppression_maps.get(f.path, {})
+        smap = suppression_maps.get(f.path)
+        if smap is None:
+            mod = graph.by_path[f.path]
+            smap, _bad = _scan_suppressions(mod.source, mod.path)
+            suppression_maps[f.path] = smap
         if f.rule_id in smap.get(f.line, set()):
             suppressed_total += 1
             continue

@@ -23,9 +23,12 @@ is safe to run on broken or hostile input.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 __all__ = ["ModuleInfo", "FunctionInfo", "ClassInfo", "ProjectGraph"]
 
@@ -78,13 +81,22 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class: methods plus resolved base-class names."""
+    """One class: methods, base-class names and its ``self.<attr>`` uses.
+
+    The attribute facts cover the whole class node, nested classes
+    included, and come from one walk in :meth:`ProjectGraph.build`.
+    """
 
     qname: str
     node: ast.ClassDef
     module: "ModuleInfo"
     bases: List[str] = field(default_factory=list)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
+    #: every ``self.<attr>`` name read or written in the class.
+    self_attrs: Set[str] = field(default_factory=set)
+    #: ``(attr, dotted)`` for each ``self.<attr> = <dotted>(...)``, in
+    #: walk order (unresolved: the class table is not complete yet).
+    self_stores: List[Tuple[str, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -146,7 +158,7 @@ class ProjectGraph:
         name = _module_name(path)
         mod = ModuleInfo(path=str(path), name=name, tree=tree, source=source)
         is_package = path.name == "__init__.py"
-        for node in ast.walk(tree):
+        for node in _statements(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.partition(".")[0]
@@ -193,6 +205,7 @@ class ProjectGraph:
                     dotted = _dotted(base)
                     if dotted:
                         cinfo.bases.append(dotted)
+                _scan_self_attrs(cinfo)
                 mod.classes[qname] = cinfo
                 self.classes[qname] = cinfo
                 self._collect_defs(mod, node.body, qname, qname)
@@ -328,6 +341,45 @@ class ProjectGraph:
             f"<ProjectGraph modules={len(self.modules)} "
             f"functions={len(self.functions)} classes={len(self.classes)}>"
         )
+
+
+#: Nodes that can hold statements; expressions never do.
+_BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
+
+
+def _statements(tree: ast.Module) -> Iterator[ast.AST]:
+    """``ast.walk(tree)`` restricted to statements (plus handlers and
+    match cases), in the same order, without entering expressions."""
+    queue: deque = deque([tree])
+    while queue:
+        node = queue.popleft()
+        yield node
+        queue.extend(c for c in ast.iter_child_nodes(node)
+                     if isinstance(c, _BLOCKS))
+
+
+def _scan_self_attrs(cinfo: ClassInfo) -> None:
+    """Fill ``cinfo.self_attrs`` and ``cinfo.self_stores`` in one walk."""
+    for node in ast.walk(cinfo.node):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                cinfo.self_attrs.add(node.attr)
+            continue
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.AnnAssign):
+            target, value = node.target, node.value
+        else:
+            continue
+        if (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+            and isinstance(value, ast.Call)
+        ):
+            dotted = _dotted(value.func)
+            if dotted is not None:
+                cinfo.self_stores.append((target.attr, dotted))
 
 
 def _dotted(node: ast.AST) -> Optional[str]:

@@ -217,9 +217,8 @@ class ProtocolAnalysis:
     def _check_paired_mutations(self) -> None:
         for cls_qname in sorted(self.graph.classes):
             cinfo = self.graph.classes[cls_qname]
-            attrs = _self_attrs(cinfo.node)
             for pm in PAIRED_MUTATIONS:
-                if pm.bump_attr not in attrs:
+                if pm.bump_attr not in cinfo.self_attrs:
                     continue  # protocol doesn't apply to this class
                 for mname in sorted(cinfo.methods):
                     method = cinfo.methods[mname]
@@ -241,15 +240,6 @@ class ProtocolAnalysis:
                         ),
                         hint=rule.hint,
                     ))
-
-
-def _self_attrs(cls: ast.ClassDef) -> Set[str]:
-    out: Set[str] = set()
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Attribute) and \
-                isinstance(node.value, ast.Name) and node.value.id == "self":
-            out.add(node.attr)
-    return out
 
 
 def _find_trigger(fn: ast.AST, pm: PairedMutation) -> Optional[ast.AST]:

@@ -24,13 +24,20 @@ inherits the taint; a helper whose *parameter* reaches a sink gets a
 "param i flows to <sink>" summary entry, so passing a tainted argument
 fires at the call site with the path through the helper named in the
 message.  Both directions compose transitively through the fixpoint.
+
+The fixpoint is a worklist.  Each walk of a function or module body
+records the facts it read — callee summaries, ``(class, attr)``
+attribute taint, ``(module, name)`` global taint — and the facts it
+changed; a changed fact queues only its readers.  Findings come from
+each body's last walk, which saw the final value of every fact it read.
 """
 
 from __future__ import annotations
 
 import ast
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..rules import FLOW_RULES_BY_ID, Finding
 from ..simlint import (
@@ -40,7 +47,7 @@ from ..simlint import (
     _WALL_CLOCK,
     _is_sim_coupled,
 )
-from .graph import FunctionInfo, ModuleInfo, ProjectGraph
+from .graph import FunctionInfo, ModuleInfo, ProjectGraph, _dotted
 
 __all__ = ["TaintAnalysis", "Summary"]
 
@@ -65,6 +72,17 @@ _BLESSED_RNG = {"repro.sim.rng.rng", "repro.sim.rng"}
 
 #: Builtin calls whose result is simply as tainted as their arguments.
 _SORT_FUNCS = {"sorted", "min", "max"}
+
+#: Upper bound on worklist rounds; a round walks, in item order, every
+#: body whose inputs changed since its last walk.
+_MAX_ROUNDS = 8
+
+#: A fact one walk reads or changes: ``("summary", qname)``,
+#: ``("attr", class_qname, attr)`` or ``("global", module, name)``.
+Fact = Tuple[str, ...]
+
+#: One unit of the worklist: a function body or a module's top level.
+Item = Union[FunctionInfo, ModuleInfo]
 
 
 def _is_param(kind: str) -> bool:
@@ -106,17 +124,6 @@ class Summary:
         )
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _receiver_leaf(node: ast.AST) -> Optional[str]:
     """Final name of a call receiver: ``self.env.timeout`` -> "env"."""
     if isinstance(node, ast.Attribute):
@@ -152,72 +159,87 @@ class TaintAnalysis:
             self.sim_coupled[mod.name] = _is_sim_coupled(mod.tree, mod.path)
             for cls in mod.classes.values():
                 types: Dict[str, str] = {}
-                for node in ast.walk(cls.node):
-                    if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                        target, value = node.targets[0], node.value
-                    elif isinstance(node, ast.AnnAssign):
-                        target, value = node.target, node.value
-                    else:
-                        continue
-                    if not (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and isinstance(value, ast.Call)
-                    ):
-                        continue
-                    dotted = _dotted(value.func)
-                    if dotted is None:
-                        continue
+                for attr, dotted in cls.self_stores:
                     cinfo = self.graph.resolve_class(mod, dotted)
                     if cinfo is not None:
-                        types[target.attr] = cinfo.qname
+                        types[attr] = cinfo.qname
                 self.attr_types[cls.qname] = types
 
     # -- fixpoint -------------------------------------------------------------
+    def items(self) -> List[Item]:
+        """Worklist order: module bodies by name, then functions by qname.
+
+        Module bodies come first so a function walked in the same round
+        reads the globals they bind (``START = time.time()``)."""
+        mods: List[Item] = sorted(self.graph.modules.values(),
+                                  key=lambda m: m.name)
+        return mods + [self.graph.functions[q]
+                       for q in sorted(self.graph.functions)]
+
     def run(self) -> List[Finding]:
-        # Seed module-global taint first so function bodies can read it
-        # during the fixpoint (e.g. `START = time.time()` at top level).
-        for mod in sorted(self.graph.modules.values(), key=lambda m: m.name):
-            self._analyze_module_body(mod, emit=False)
-        for _ in range(8):
-            changed = False
-            for qname in sorted(self.graph.functions):
-                if self._analyze(self.graph.functions[qname], emit=False):
-                    changed = True
-            if not changed:
+        """Walk bodies until no fact changes (or the round cap).
+
+        Each round walks its queued items in :meth:`items` order.  When a
+        walk changes a fact, every body that has read it is queued: one
+        later in this round's order runs in this round, any other (the
+        walker itself included) in the next.  The walk sequence is that
+        of repeating full rounds over :meth:`items`, minus walks whose
+        inputs had not changed, so each body's last walk saw the final
+        value of every fact it read and its findings are the findings."""
+        items = self.items()
+        readers: Dict[Fact, Set[int]] = {}
+        last: List[List[Finding]] = [[] for _ in items]
+        queue = list(range(len(items)))
+        for _ in range(_MAX_ROUNDS):
+            if not queue:
                 break
-        self.findings = []
-        for qname in sorted(self.graph.functions):
-            self._analyze(self.graph.functions[qname], emit=True)
-        for mod in sorted(self.graph.modules.values(), key=lambda m: m.name):
-            self._analyze_module_body(mod, emit=True)
+            heapq.heapify(queue)
+            queued = set(queue)
+            next_round: Set[int] = set()
+            while queue:
+                i = heapq.heappop(queue)
+                walker = self._walk(items[i])
+                last[i] = walker.findings
+                for fact in walker.reads:
+                    readers.setdefault(fact, set()).add(i)
+                for fact in walker.changed:
+                    for j in readers.get(fact, ()):
+                        if j <= i:
+                            next_round.add(j)
+                        elif j not in queued:
+                            queued.add(j)
+                            heapq.heappush(queue, j)
+            queue = list(next_round)
+        self.findings = [f for found in last for f in found]
         self.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         return self.findings
 
-    # -- module-level statements ----------------------------------------------
-    def _analyze_module_body(self, mod: ModuleInfo, emit: bool) -> None:
-        walker = _FunctionTaint(self, mod, None, None, emit)
-        top = [
-            s for s in mod.tree.body
-            if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-        ]
-        walker.run_block(top)
-        for (name, taint) in walker.env.items():
-            concrete = _concrete(taint)
-            if concrete:
-                slot = self.global_taint.setdefault((mod.name, name), {})
-                _merge(slot, concrete)
-
-    # -- per-function ---------------------------------------------------------
-    def _analyze(self, info: FunctionInfo, emit: bool) -> bool:
-        summary = self.summaries[info.qname]
+    def _walk(self, item: Item) -> "_FunctionTaint":
+        """One taint walk of ``item``; the walker holds its reads, the
+        facts it changed and its findings."""
+        if isinstance(item, ModuleInfo):
+            walker = _FunctionTaint(self, item, None, None)
+            walker.run_block([
+                s for s in item.tree.body
+                if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+            ])
+            for name, taint in walker.env.items():
+                concrete = _concrete(taint)
+                if concrete and _merge(
+                    self.global_taint.setdefault((item.name, name), {}),
+                    concrete,
+                ):
+                    walker.changed.add(("global", item.name, name))
+            return walker
+        summary = self.summaries[item.qname]
         before = summary.snapshot()
-        walker = _FunctionTaint(self, info.module, info, summary, emit)
+        walker = _FunctionTaint(self, item.module, item, summary)
         walker.seed_params()
-        walker.run_block(info.node.body)
-        return summary.snapshot() != before
+        walker.run_block(item.node.body)
+        if summary.snapshot() != before:
+            walker.changed.add(("summary", item.qname))
+        return walker
 
 
 class _FunctionTaint:
@@ -229,14 +251,15 @@ class _FunctionTaint:
         mod: ModuleInfo,
         info: Optional[FunctionInfo],
         summary: Optional[Summary],
-        emit: bool,
     ) -> None:
         self.analysis = analysis
         self.graph = analysis.graph
         self.mod = mod
         self.info = info
         self.summary = summary
-        self.emit = emit
+        self.reads: Set[Fact] = set()
+        self.changed: Set[Fact] = set()
+        self.findings: List[Finding] = []
         self.env: Dict[str, Taint] = {}
         self.local_types: Dict[str, str] = {}
         self.class_qname = info.class_qname if info is not None else None
@@ -381,7 +404,8 @@ class _FunctionTaint:
             slot = self.analysis.attr_taint.setdefault(
                 (self.class_qname, target.attr), {}
             )
-            _merge(slot, concrete)
+            if _merge(slot, concrete):
+                self.changed.add(("attr", self.class_qname, target.attr))
         # SF201: sim-state write of a nondeterministic value.
         if concrete and self.analysis.sim_coupled.get(self.mod.name):
             self._report(
@@ -393,6 +417,7 @@ class _FunctionTaint:
     def taint_of(self, node: ast.expr) -> Taint:
         if isinstance(node, ast.Name):
             taint = dict(self.env.get(node.id, {}))
+            self.reads.add(("global", self.mod.name, node.id))
             g = self.analysis.global_taint.get((self.mod.name, node.id))
             if g:
                 _merge(taint, g)
@@ -402,6 +427,7 @@ class _FunctionTaint:
         if isinstance(node, ast.Attribute):
             if isinstance(node.value, ast.Name) and node.value.id == "self" \
                     and self.class_qname is not None:
+                self.reads.add(("attr", self.class_qname, node.attr))
                 stored = self.analysis.attr_taint.get(
                     (self.class_qname, node.attr)
                 )
@@ -451,7 +477,7 @@ class _FunctionTaint:
                 ),
             )
             if target is not None:
-                return self.analysis.summaries[target.qname].return_type
+                return self._callee(target).return_type
         elif isinstance(node, ast.Name):
             return self.local_types.get(node.id)
         return None
@@ -538,7 +564,7 @@ class _FunctionTaint:
         self, node: ast.Call, target: FunctionInfo,
         arg_taints: List[Taint], kw_taints: Dict[Optional[str], Taint],
     ) -> Taint:
-        callee = self.analysis.summaries[target.qname]
+        callee = self._callee(target)
         mapped = self._arg_index_map(node, target, arg_taints, kw_taints)
         result: Taint = {}
         for kind, origin in callee.returns.items():
@@ -558,15 +584,19 @@ class _FunctionTaint:
             concrete = _concrete(taint)
             for rule_id, descr in sorted(sinks):
                 if concrete:
-                    if self.emit:
-                        self._report(
-                            rule_id, arg,
-                            f"{descr} via {target.qname}()", concrete,
-                        )
+                    self._report(
+                        rule_id, arg, f"{descr} via {target.qname}()",
+                        concrete,
+                    )
                 else:
                     # Propagate to our own params for transitivity.
                     self._record_param_sinks(taint, rule_id, descr)
         return result
+
+    def _callee(self, target: FunctionInfo) -> Summary:
+        """``target``'s summary, recorded as a fact this walk read."""
+        self.reads.add(("summary", target.qname))
+        return self.analysis.summaries[target.qname]
 
     # -- sink checks -----------------------------------------------------------
     def _record_param_sinks(self, taint: Taint, rule_id: str,
@@ -583,7 +613,7 @@ class _FunctionTaint:
     def _sink(self, rule_id: str, descr: str, node: ast.AST,
               taint: Taint) -> None:
         concrete = _concrete(taint)
-        if concrete and self.emit:
+        if concrete:
             self._report(rule_id, node, descr, concrete)
         self._record_param_sinks(taint, rule_id, descr)
 
@@ -637,7 +667,7 @@ class _FunctionTaint:
                     )
                     if ktarget is not None:
                         key_taint = dict(_concrete(
-                            self.analysis.summaries[ktarget.qname].returns
+                            self._callee(ktarget).returns
                         ))
                 key_taint = {k: v for k, v in key_taint.items()
                              if _is_param(k) or k in _ORDERING_KINDS}
@@ -674,7 +704,7 @@ class _FunctionTaint:
         where = self.info.qname if self.info is not None \
             else f"{self.mod.name} (module scope)"
         rule = FLOW_RULES_BY_ID[rule_id]
-        self.analysis.findings.append(Finding(
+        self.findings.append(Finding(
             path=self.mod.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,

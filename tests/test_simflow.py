@@ -11,6 +11,7 @@ SF301 in ``test_obs.py``).
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.analysis.simflow import (
     to_sarif,
     write_baseline,
 )
+from repro.analysis.simflow.taint import TaintAnalysis
 from repro.cli import main as cli_main
 
 FIXTURE = "tests/fixtures/simflow_bad_example.py"
@@ -43,6 +45,18 @@ FIXTURE_FINDINGS = [
     (77, "SF303"),   # ledger charge not undone before raise
     (95, "SF304"),   # in-flight clear without generation bump
 ]
+
+
+@pytest.fixture(scope="module")
+def full_tree_report():
+    """One full-tree run, shared by the tests that only read it."""
+    return run_simflow(["src/repro", "tests", "benchmarks"])
+
+
+@pytest.fixture(scope="module")
+def fixture_report():
+    """One ``[FIXTURE, "src/repro"]`` run, shared likewise."""
+    return run_simflow([FIXTURE, "src/repro"])
 
 
 def flow_ids(tmp_path, source, name="mod.py"):
@@ -71,8 +85,8 @@ def test_flow_rule_table_is_complete_and_stable():
 # The acceptance fixture: exact IDs and lines
 # ---------------------------------------------------------------------------
 
-def test_fixture_findings_exact():
-    report = run_simflow([FIXTURE, "src/repro"])
+def test_fixture_findings_exact(fixture_report):
+    report = fixture_report
     got = [(f.line, f.rule_id) for f in report.findings
            if f.path == FIXTURE]
     assert got == FIXTURE_FINDINGS
@@ -101,8 +115,8 @@ def test_repo_source_tree_is_flow_clean():
     assert report.findings == []
 
 
-def test_full_tree_matches_committed_baseline():
-    report = run_simflow(["src/repro", "tests", "benchmarks"])
+def test_full_tree_matches_committed_baseline(full_tree_report):
+    report = full_tree_report
     baseline = load_baseline(BASELINE)
     new, stale = diff_against_baseline(report.findings, baseline)
     assert new == [], [f.render() for _, f in new]
@@ -140,6 +154,97 @@ def test_taint_through_module_global(tmp_path):
         yield env.timeout(START)
     """
     assert flow_ids(tmp_path, src) == [(8, "SF200")]
+
+
+#: A store found late (``zz_helper`` gets its summary after ``zed.b`` was
+#: first walked) must still reach ``use``, whatever the names sort to.
+LATE_ATTR_SRC = """
+import time
+
+class zed:
+    def a(self): return self.x
+    def b(self): self.x = zz_helper()
+
+def zz_helper(): return time.time()
+
+def use(env):
+    obj = zed()
+    env.timeout(obj.a())
+"""
+
+#: A module global bound from a laundering helper, which has no summary
+#: yet when the module body is first walked.
+LATE_GLOBAL_SRC = """
+import time
+import repro.sim as sim
+
+def stamp():
+    return time.time()
+
+START = stamp()
+
+def go(env):
+    yield env.timeout(START)
+"""
+
+
+def test_attr_store_found_late_still_taints_readers(tmp_path):
+    # Analyzed alone: next to src/repro, summaries still changing there
+    # kept the old round loop going long enough to hide the miss.
+    f = tmp_path / "mod.py"
+    f.write_text(LATE_ATTR_SRC)
+    report = run_simflow([str(f)])
+    assert [(x.line, x.rule_id) for x in report.findings] == [(12, "SF200")]
+
+
+def test_taint_through_module_global_from_helper(tmp_path):
+    assert flow_ids(tmp_path, LATE_GLOBAL_SRC) == [(11, "SF200")]
+
+
+def _taint_state(ta):
+    return (
+        {q: s.snapshot() for q, s in ta.summaries.items()},
+        {k: dict(v) for k, v in ta.attr_taint.items()},
+        {k: dict(v) for k, v in ta.global_taint.items()},
+    )
+
+
+def round_robin_taint(graph):
+    """Reference fixpoint: walk every body in item order, round after
+    round, until no summary, attribute taint or global taint changes
+    (at most 8 rounds); findings come from the last round."""
+    ta = TaintAnalysis(graph)
+    for _ in range(8):
+        before = _taint_state(ta)
+        findings = [f for item in ta.items() for f in ta._walk(item).findings]
+        if _taint_state(ta) == before:
+            break
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
+    return ta, findings
+
+
+@pytest.mark.parametrize("case", [
+    "fixture", "late-attr", "late-global", "permuted-roots",
+])
+def test_worklist_matches_round_robin_reference(case, tmp_path):
+    if case == "fixture":
+        roots = [FIXTURE, "src/repro"]
+    elif case == "permuted-roots":
+        roots = [str(p) for p in sorted(Path("src/repro").iterdir(),
+                                        reverse=True)
+                 if p.is_dir() or p.suffix == ".py"]
+    else:
+        src = LATE_ATTR_SRC if case == "late-attr" else LATE_GLOBAL_SRC
+        f = tmp_path / "mod.py"
+        f.write_text(src)
+        roots = [str(f)]
+    ref, ref_findings = round_robin_taint(ProjectGraph.build(roots))
+    work = TaintAnalysis(ProjectGraph.build(roots))
+    findings = work.run()
+    assert findings == ref_findings
+    assert work.summaries == ref.summaries
+    assert work.attr_taint == ref.attr_taint
+    assert work.global_taint == ref.global_taint
 
 
 def test_blessed_rng_output_is_clean(tmp_path):
@@ -269,8 +374,8 @@ def test_fingerprints_survive_line_drift(tmp_path):
     assert fp1 == fp2 != set()
 
 
-def test_baseline_diff_fails_only_on_new(tmp_path):
-    report = run_simflow([FIXTURE, "src/repro"])
+def test_baseline_diff_fails_only_on_new(tmp_path, fixture_report):
+    report = fixture_report
     fixture_findings = [f for f in report.findings if f.path == FIXTURE]
     bl = tmp_path / "bl.json"
     write_baseline(bl, fixture_findings, {})
@@ -294,8 +399,9 @@ def test_baseline_diff_fails_only_on_new(tmp_path):
     "src/repro/sim/resources.py",
     "tests/test_obs.py",
 ])
-def test_changed_mode_pruning_is_equivalent_on_touched_files(touched):
-    full = run_simflow(["src/repro", "tests", "benchmarks"])
+def test_changed_mode_pruning_is_equivalent_on_touched_files(
+        touched, full_tree_report):
+    full = full_tree_report
     pruned = run_simflow(["src/repro", "tests", "benchmarks"],
                          changed=[touched])
     def pick(rep):
@@ -348,8 +454,8 @@ def test_graph_importers_feed_changed_closure():
 # SARIF + CLI surface
 # ---------------------------------------------------------------------------
 
-def test_sarif_export_shape():
-    report = run_simflow([FIXTURE, "src/repro"])
+def test_sarif_export_shape(fixture_report):
+    report = fixture_report
     doc = to_sarif(report.findings)
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
