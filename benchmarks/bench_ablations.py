@@ -14,7 +14,7 @@ from repro.bench.report import render_figure
 from repro.cluster import Cluster
 from repro.core import DLFS, DLFSConfig
 from repro.data import Dataset
-from repro.hw import KB, MB, Testbed
+from repro.hw import KB, Testbed
 from repro.octopus import OctopusFS, OctopusSpec
 from repro.sim import Environment
 

@@ -279,7 +279,9 @@ def run(quick: bool) -> dict:
     }
     speedups = []
     for label, (size, batches) in fig_cases.items():
-        fn = lambda size=size, batches=batches: fig06_case(size, batches)
+        def fn(size=size, batches=batches):
+            return fig06_case(size, batches)
+
         ref_s, (ref_sim, _), opt_s, (opt_sim, _) = _time_pair(fn, reps)
         speedup = ref_s / opt_s
         speedups.append(speedup)

@@ -19,7 +19,6 @@ def test_fig06_single_node_throughput(benchmark, emit):
     result = run_once(benchmark, fig06_single_node_throughput, scale=1.0)
     emit(result)
     small = [s for s in result.series["DLFS"] if s <= 4 * KB]
-    big = [s for s in result.series["DLFS"] if s >= 16 * KB]
 
     # Ordering for small samples: DLFS > Ext4-MC > DLFS-Base > Ext4-Base.
     for s in small:

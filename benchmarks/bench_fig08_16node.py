@@ -14,7 +14,6 @@ def test_fig08_throughput_16_nodes(benchmark, emit):
     result = run_once(benchmark, fig08_throughput_16_nodes, scale=1.0)
     emit(result)
     sizes = sorted(result.series["DLFS"])
-    small = [s for s in sizes if s <= 4 * KB]
     big = [s for s in sizes if s >= 16 * KB]
 
     # Paper: "DLFS outperforms Octopus and Ext4 in all cases."

@@ -304,7 +304,7 @@ class ClusterState:
             self._standby.pop(shard, None)
 
     def __repr__(self) -> str:
-        dead = sorted(l for l in self.lanes if not self.alive[l])
+        dead = sorted(lane for lane in self.lanes if not self.alive[lane])
         return f"<ClusterState lanes={len(self.lanes)} dead={dead}>"
 
 
@@ -588,9 +588,9 @@ class ClusterLifecycle:
         """Copy a dead lane's shard to its ring standby, chunk by chunk."""
         yield self.env.timeout((shard + 1) * self.HANDOFF_START_STAGGER)
         sources = [
-            l
-            for l in self.state.shard_map.replicas_of(shard)
-            if l != dead_lane and self.state.alive[l]
+            lane
+            for lane in self.state.shard_map.replicas_of(shard)
+            if lane != dead_lane and self.state.alive[lane]
         ]
         standby = self.state.shard_map.standby(shard)
         if not sources or standby is None or not self.state.alive[standby]:

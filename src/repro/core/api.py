@@ -263,22 +263,23 @@ class DLFS:
                     target.read_cache = rc
                     self.cluster_state.read_caches[lane] = rc
         # Fault injection: one shared injector drives every fault site
-        # (devices, fabric, NVMe-oF targets, reactor reset schedules)
-        # from one seed.  A zero plan builds nothing, so the healthy
-        # datapath stays bit-identical (pay-for-use).
+        # from one seed, installed only on the site kinds the plan can
+        # fault (a crash-only plan keeps the analytic device path).  A
+        # zero plan builds nothing (pay-for-use).
         self.injector: Optional[FaultInjector] = None
         self.recovery: Optional[RecoveryPolicy] = self.config.recovery
         plan = self.config.fault_plan
         if plan is not None and not plan.is_zero:
-            self.injector = FaultInjector(plan)
+            inj = self.injector = FaultInjector(plan)
             if self.recovery is None:
                 self.recovery = RecoveryPolicy()
-            cluster.fabric.install_fault_injector(self.injector)
-            for node_idx, dev_idx in placement:
-                device = cluster.node(node_idx).devices[dev_idx]
-                device.install_fault_injector(self.injector)
+            if inj.has_link_faults:
+                cluster.fabric.install_fault_injector(inj)
             for target in self.targets:
-                target.install_fault_injector(self.injector)
+                if inj.has_nvme_faults:
+                    target.device.install_fault_injector(inj)
+                if inj.has_nvmf_faults:
+                    target.install_fault_injector(inj)
         # Observability mirrors the injector's install pattern: one
         # bundle per instance, wired onto every datapath component; the
         # default (both off) shares the null bundle and installs nothing.

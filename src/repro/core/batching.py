@@ -48,7 +48,6 @@ class ChunkPlan:
         self.layout = layout
         self.chunk_bytes = chunk_bytes
         dataset = layout.dataset
-        n = dataset.num_samples
         base = layout.base_offset
 
         # Chunks are numbered globally: shard s contributes

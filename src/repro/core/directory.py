@@ -67,7 +67,6 @@ class SampleDirectory:
         self.dataset = dataset
         self.layout = layout
         self.num_shards = layout.num_shards
-        n = dataset.num_samples
         keys, checks = dataset.hash_all_names()
         self.keys = keys
         self.checks = checks

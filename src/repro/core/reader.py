@@ -27,6 +27,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
@@ -873,9 +874,7 @@ class Reactor:
                     "retry_backoff", status=status, retry=req.retries,
                     delay=delay,
                 )
-            self.env.process(
-                self._retry_later(req, delay), name=f"{self.name}.retry"
-            )
+            self._post_later(delay, _RetryRequest(req))
 
     def _part_failed(self, fetch: _PendingFetch, exc: BaseException) -> None:
         if fetch.failed is None:
@@ -922,11 +921,11 @@ class Reactor:
             delay *= 1.0 + self.recovery.jitter * float(self._jitter_rng.random())
         return delay
 
-    def _retry_later(
-        self, req: SPDKRequest, delay: float
-    ) -> Generator[Event, Any, None]:
-        yield self.env.timeout(delay)
-        self.inbox.put_nowait(_RetryRequest(req))
+    def _post_later(self, delay: float, msg: object) -> None:
+        """Put ``msg`` on the inbox ``delay`` from now: one timer event."""
+        self.env.timeout(delay).callbacks.append(
+            lambda _timer: self.inbox.put_nowait(msg)
+        )
 
     def _on_retry_ready(self, req: SPDKRequest) -> None:
         self._pending_retries -= 1
@@ -947,29 +946,22 @@ class Reactor:
 
     def _arm_watchdog(self, req: SPDKRequest) -> None:
         """Deadline timer for a posted request (cost-free on the core)."""
-        self.env.process(
-            self._watchdog(req, req.attempts), name=f"{self.name}.watchdog"
+        self.env.timeout(self.recovery.deadline).callbacks.append(
+            partial(self._on_timer, _DeadlineCheck, req, req.attempts)
         )
-
-    def _watchdog(
-        self, req: SPDKRequest, attempt: int
-    ) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.recovery.deadline)
-        if req.status is None and req.attempts == attempt:
-            self.inbox.put_nowait(_DeadlineCheck(req, attempt))
 
     def _arm_hedge(self, req: SPDKRequest) -> None:
         """Hedge timer for a posted request (cost-free on the core)."""
-        self.env.process(
-            self._hedge_timer(req, req.attempts), name=f"{self.name}.hedge"
+        self.env.timeout(self.balancer.hedge_delay).callbacks.append(
+            partial(self._on_timer, _HedgeCheck, req, req.attempts)
         )
 
-    def _hedge_timer(
-        self, req: SPDKRequest, attempt: int
-    ) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.balancer.hedge_delay)
+    def _on_timer(
+        self, check: type, req: SPDKRequest, attempt: int, _timer: Event
+    ) -> None:
+        """Deadline/hedge timer callback: queue ``check`` if still due."""
         if req.status is None and req.attempts == attempt:
-            self.inbox.put_nowait(_HedgeCheck(req, attempt))
+            self.inbox.put_nowait(check(req, attempt))
 
     def _on_hedge(self, msg: _HedgeCheck) -> None:
         """Deadline-driven hedged read: post a twin on another replica.
@@ -1034,14 +1026,8 @@ class Reactor:
         qp.reset()
         self.recovery_stats.incr("resets")
         self.recovery_stats.enter_degraded()
-        self.env.process(
-            self._reconnect_later(shard), name=f"{self.name}.reconnect"
-        )
-
-    def _reconnect_later(self, shard: int) -> Generator[Event, Any, None]:
         delay = self.recovery.reconnect_delay if self.recovery is not None else 0.0
-        yield self.env.timeout(delay)
-        self.inbox.put_nowait(_QPairUp(shard))
+        self._post_later(delay, _QPairUp(shard))
 
     def _on_qpair_up(self, shard: int) -> None:
         qp = self.qpairs[shard]

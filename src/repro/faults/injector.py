@@ -9,9 +9,10 @@ on the order in which components were wired up.  Same plan + same
 workload => bit-identical fault event trace.
 
 Components hold the injector behind an ``injector`` attribute that
-defaults to ``None``; with no injector installed (or a zero-rate site)
-they take their original fast path and consume no randomness, keeping
-fault machinery strictly pay-for-use.
+defaults to ``None``.  DLFS installs it only on the site kinds the plan
+can fault (the ``has_*_faults`` properties); with no injector installed
+(or a zero-rate site) a component takes its original fast path and
+consumes no randomness, keeping fault machinery strictly pay-for-use.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class FaultInjector:
         self.counts.incr(kind)
 
     # -- NVMe device sites --------------------------------------------------------
+    @property
+    def has_nvme_faults(self) -> bool:
+        p = self.plan
+        return p.media_error_rate > 0.0 or p.timeout_rate > 0.0 or p.hiccup_rate > 0.0
+
     def nvme_fault(self, device: str, now: float) -> Optional[tuple[str, float]]:
         """Fault decision for one NVMe command on ``device``.
 
@@ -90,12 +96,20 @@ class FaultInjector:
         return None
 
     # -- fabric sites -------------------------------------------------------------
+    @property
+    def has_link_faults(self) -> bool:
+        return self.plan.link_drop_rate > 0.0
+
     def link_fault(self, src: str, dst: str, now: float) -> Optional[float]:
         """Stall (seconds) for one transfer on ``src->dst``, or ``None``."""
         if self._roll(f"link.{src}->{dst}", self.plan.link_drop_rate):
             self.record(now, f"link.{src}->{dst}", "link_drop")
             return self.plan.link_stall
         return None
+
+    @property
+    def has_nvmf_faults(self) -> bool:
+        return self.plan.nvmf_drop_rate > 0.0
 
     def nvmf_fault(self, target: str, now: float) -> Optional[float]:
         """Capsule-loss stall at an NVMe-oF target front-end, or ``None``."""

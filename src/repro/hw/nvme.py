@@ -265,9 +265,9 @@ class NVMeDevice:
         integral is booked at submit, so a mid-flight reading would run
         slightly ahead of the process path).
 
-        With an injector installed, commands take the process path; the
-        in-repo chaos workloads install injectors before any I/O is
-        submitted, so the two accounting schemes never interleave.
+        The path engages whenever *this device* has no injector (a crash-
+        or reset-only plan installs none on devices).  Injectors go in at
+        mount, before any I/O, so the two accounting schemes never mix.
         """
         env = self.env
         now = env._now

@@ -15,7 +15,7 @@ the job's done event fires, so open-loop generators never wedge.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 from ..errors import AdmissionRejected
 

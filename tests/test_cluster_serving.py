@@ -127,8 +127,8 @@ class TestClusterState:
         for lane in state.lanes:
             regions = sorted(
                 (base, base + state._stride(s))
-                for (s, l), base in state._base.items()
-                if l == lane
+                for (s, owner), base in state._base.items()
+                if owner == lane
             )
             for (_, end_a), (start_b, _) in zip(regions, regions[1:]):
                 assert end_a <= start_b
@@ -190,7 +190,7 @@ class TestFrontEndBalancer:
         assert f1.lane == min(reps)  # all loads equal: lowest lane id
         f2 = _FakeFetch(s)
         f2.lane = fe.route(f2)
-        assert f2.lane == [l for l in sorted(reps) if l != f1.lane][0]
+        assert f2.lane == [lane for lane in sorted(reps) if lane != f1.lane][0]
         fe.fetch_done(f1)
         assert fe.loads[f1.lane] == 0
 

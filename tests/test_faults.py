@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, ClusterSpec
 from repro.core import DLFS, DLFSConfig
-from repro.core.reader import ReadJob
+from repro.core.reader import ReadJob, _DeadlineCheck
 from repro.data import Dataset
 from repro.errors import (
     ConfigError,
@@ -381,6 +381,17 @@ class TestErrorHierarchy:
 # End-to-end recovery through the reactor
 # ---------------------------------------------------------------------------
 
+def _injected_sites(fs):
+    """Names of the datapath components that hold a fault injector."""
+    sites = {"fabric"} if fs.cluster.fabric.injector is not None else set()
+    for shard, target in enumerate(fs.targets):
+        if fs.device_for_shard(shard).injector is not None:
+            sites.add(f"device{shard}")
+        if target.injector is not None:
+            sites.add(f"target{shard}")
+    return sites
+
+
 def _mount(env, n=128, size=4 * KB, mode="sample", plan=None, recovery=None,
            num_nodes=1):
     testbed = Testbed.paper() if num_nodes == 1 else Testbed.paper_emulated()
@@ -504,9 +515,72 @@ class TestReactorRecovery:
         fs = _mount(env, plan=ZERO_PLAN)
         assert fs.injector is None
         assert fs.recovery is None
-        for _, dev_idx in fs.placement:
-            pass
-        assert fs.cluster.fabric.injector is None
+        assert _injected_sites(fs) == set()
+
+    @pytest.mark.parametrize(
+        "plan, sites",
+        [
+            (FaultPlan(node_crashes=((0, 1e-3, 2e-3),)), set()),
+            (FaultPlan(media_error_rate=0.1), {"device0", "device1"}),
+            (FaultPlan(link_drop_rate=0.1), {"fabric"}),
+            (FaultPlan(nvmf_drop_rate=0.1), {"target0", "target1"}),
+        ],
+        ids=["crash_only", "media", "link_drop", "nvmf_drop"],
+    )
+    def test_injector_installed_only_where_plan_can_fault(self, plan, sites):
+        """Pay-for-use per site kind: the shared injector always exists
+        for a non-zero plan (the crash lifecycle records into it), but a
+        device, the fabric or a target holds it only if the plan rolls a
+        rate there — a crash-only plan keeps the analytic device path."""
+        env = Environment()
+        cluster = Cluster(
+            env, Testbed.paper_emulated(), num_nodes=3, devices_per_node=0
+        )
+        placement = []
+        for lane in (1, 2):
+            cluster.node(lane).add_device()
+            placement.append((lane, 0))
+        fs = DLFS.mount(
+            cluster, Dataset.fixed("sites", 64, 4 * KB, seed=1),
+            DLFSConfig(
+                batching="sample", fault_plan=plan,
+                cluster=ClusterSpec(replicas=2),
+            ),
+            placement=placement,
+        )
+        assert fs.injector is not None
+        assert fs.recovery is not None
+        assert _injected_sites(fs) == sites
+
+    def test_deadline_fires_at_post_time_plus_deadline(self, monkeypatch):
+        """Every deadline check reaches the reactor inbox exactly one
+        ``RecoveryPolicy.deadline`` after its request was posted."""
+        env = Environment()
+        recovery = RecoveryPolicy(deadline=2e-3, max_retries=2)
+        fs = _mount(
+            env, n=32, plan=FaultPlan(seed=4, timeout_rate=1.0),
+            recovery=recovery,
+        )
+        client = fs.client()
+        inbox = client.reactor.inbox
+        put = inbox.put_nowait
+        fired = []
+
+        def spy(msg):
+            if isinstance(msg, _DeadlineCheck):
+                fired.append((env.now, msg.req.submit_time))
+            put(msg)
+
+        monkeypatch.setattr(inbox, "put_nowait", spy)
+
+        def app(env):
+            yield from client.read_batch(list(range(32)))
+
+        env.run(until=env.process(app(env)))
+        assert client.failed_samples == 32
+        assert len(fired) >= 32
+        for now, submitted in fired:
+            assert now == submitted + recovery.deadline
 
 
 # ---------------------------------------------------------------------------

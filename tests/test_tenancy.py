@@ -16,7 +16,6 @@ Covers the tenancy subsystem's acceptance properties:
 import hashlib
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.analysis.perfcheck import run_perfcheck
